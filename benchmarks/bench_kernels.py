@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the numba and pure-numpy variants of the hot kernels.
+"""Time the hot numpy kernels on the zero-extraction inner loop.
 
-Workload mirrors the zero-extraction inner loop: a degree-500 series
-evaluated over a bracketing grid, the forward recurrence over the same
-grid, and safeguarded refinement of every sign-change bracket.
+Workload: a degree-500 series evaluated over a bracketing grid, the
+forward recurrence over the same grid, and safeguarded refinement of
+every sign-change bracket.  Besides the best-of-5 times it prints the
+Clenshaw passes of the refine (calls of the Clenshaw kernel, one for the
+value and one for the derivative per step) and how many of them one root
+takes part in on average.
 
-Run with SOBOLEV_MH_PURE_NUMPY=1 to check the selection flag; this script
-itself times both implementations side by side when numba is available.
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
@@ -28,9 +30,27 @@ def _timeit(fn, repeat=5):
     return best, out
 
 
+def _count_clenshaw_passes(fn):
+    """Run ``fn`` once; return its Clenshaw kernel calls and the points
+    they evaluated in total."""
+    inner = kernels._clenshaw_numpy
+    calls = points = 0
+
+    def counted(c, A, B, C, x):
+        nonlocal calls, points
+        calls += 1
+        points += len(x)
+        return inner(c, A, B, C, x)
+
+    kernels._clenshaw_numpy = counted
+    try:
+        fn()
+    finally:
+        kernels._clenshaw_numpy = inner
+    return calls, points
+
+
 def main():
-    print(f"selected backend: {kernels.backend_name()} "
-          f"(numba available: {kernels.NUMBA_ENABLED})")
     setup = SETUPS["critical-small-mass"]
     series = sobolev_polynomial(setup, 500)
     c = series.coeffs
@@ -43,34 +63,22 @@ def main():
         1.0 - np.arange(0.2, 300.0, 0.2) ** 2 / (2.0 * 500.0 ** 2),
     ]))
 
-    variants = [("numpy", kernels._clenshaw_numpy, kernels._forward_numpy,
-                 kernels._refine_numpy)]
-    if kernels.NUMBA_ENABLED:
-        variants.append(("numba", kernels._clenshaw_numba, kernels._forward_numba,
-                         kernels._refine_numba))
+    t_clen, vals = _timeit(lambda: kernels.clenshaw_batch(c, A, B, C, grid))
+    t_fwd, _ = _timeit(lambda: kernels.jacobi_batch(500, a, b, grid))
+    sgn = np.sign(vals)
+    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
+    lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
 
-    rows = []
-    for name, clenshaw, forward, refine in variants:
-        vals = clenshaw(c, A, B, C, grid)  # warmup / jit compile
-        t_clen, vals = _timeit(lambda: clenshaw(c, A, B, C, grid))
-        t_fwd, _ = _timeit(lambda: forward(500, A, B, C, grid))
-        sgn = np.sign(vals)
-        idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
-        lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
-        refine(c, A, B, C, d.coeffs, Ad, Bd, Cd, lo, hi, flo)  # warmup
-        t_ref, roots = _timeit(
-            lambda: refine(c, A, B, C, d.coeffs, Ad, Bd, Cd, lo, hi, flo))
-        rows.append((name, t_clen, t_fwd, t_ref, len(roots)))
+    def refine():
+        return kernels.refine_brackets(c, A, B, C, d.coeffs, Ad, Bd, Cd, lo, hi, flo)
 
-    print(f"{'backend':8s} {'clenshaw(5k pts)':>18s} {'forward(5k pts)':>17s} "
-          f"{'refine':>12s} {'roots':>6s}")
-    for name, t1, t2, t3, nr in rows:
-        print(f"{name:8s} {t1 * 1e3:15.2f} ms {t2 * 1e3:14.2f} ms "
-              f"{t3 * 1e3:9.2f} ms {nr:6d}")
-    if len(rows) == 2:
-        print(f"speedup (numpy/numba): clenshaw {rows[0][1] / rows[1][1]:.1f}x, "
-              f"forward {rows[0][2] / rows[1][2]:.1f}x, "
-              f"refine {rows[0][3] / rows[1][3]:.1f}x")
+    t_ref, roots = _timeit(refine)
+    passes, points = _count_clenshaw_passes(refine)
+
+    print(f"{'clenshaw(5k pts)':>18s} {'forward(5k pts)':>17s} {'refine':>12s} "
+          f"{'roots':>6s} {'passes':>7s} {'passes/root':>12s}")
+    print(f"{t_clen * 1e3:15.2f} ms {t_fwd * 1e3:14.2f} ms {t_ref * 1e3:9.2f} ms "
+          f"{len(roots):6d} {passes:7d} {points / len(roots):12.1f}")
 
 
 if __name__ == "__main__":

@@ -1,40 +1,18 @@
-"""Hot numeric kernels: batched Jacobi recurrences and bracket refinement.
+"""Hot numeric kernels: Jacobi recurrences, Clenshaw sums and bracket refinement.
 
-Every kernel exists in two functionally identical variants: a numba
-``@njit`` loop version and a vectorized pure-numpy version.  The numba
-path is used when numba imports cleanly; setting the environment variable
-``SOBOLEV_MH_PURE_NUMPY=1`` before import forces the numpy path (this is
-also what ``benchmarks/bench_kernels.py`` uses to time one against the
-other).
+One backend, vectorized numpy: each kernel loops in Python over the
+recurrence index and in numpy over the evaluation points, so one pass of a
+degree-m series over k points costs m numpy operations on length-k arrays.
+
+``refine_brackets`` converges every sign-change bracket together with a
+safeguarded Newton method.  A root is done once its Newton step is below
+1e-15 relative to max(1, |x|), on an exact zero of the series, or when its
+bracket is at most 1e-13 wide.  A step falls back to bisection only when
+Newton would leave the bracket or fails to halve the step before the last
+one (``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
 """
 
-import os
-
 import numpy as np
-
-_FORCED_NUMPY = os.environ.get("SOBOLEV_MH_PURE_NUMPY", "") not in ("", "0")
-
-try:
-    if _FORCED_NUMPY:
-        raise ImportError("pure-numpy backend forced via SOBOLEV_MH_PURE_NUMPY")
-    from numba import njit, prange
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
 
 
 def jacobi_recurrence(m, alpha, beta):
@@ -71,20 +49,6 @@ def _clenshaw_numpy(c, A, B, C, x):
     return c[0] + (A[0] * x + B[0]) * u1 - C[1] * u2
 
 
-@njit(cache=True)
-def _clenshaw_numba(c, A, B, C, x):  # pragma: no cover - numba path
-    m = len(c) - 1
-    out = np.empty(len(x))
-    for p in prange(len(x)):
-        xp = x[p]
-        u1 = 0.0
-        u2 = 0.0
-        for k in range(m, 0, -1):
-            u1, u2 = c[k] + (A[k] * xp + B[k]) * u1 - C[k + 1] * u2, u1
-        out[p] = c[0] + (A[0] * xp + B[0]) * u1 - C[1] * u2
-    return out
-
-
 def clenshaw_batch(c, A, B, C, x):
     """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence)."""
     c = np.ascontiguousarray(c, dtype=np.float64)
@@ -94,8 +58,6 @@ def clenshaw_batch(c, A, B, C, x):
     # recurrence arrays must extend one index past the series degree
     if len(A) < len(c) + 1:
         raise ValueError("recurrence arrays must extend past the series degree")
-    if NUMBA_ENABLED:
-        return _clenshaw_numba(c, A, B, C, x)
     return _clenshaw_numpy(c, A, B, C, x)
 
 
@@ -113,28 +75,10 @@ def _forward_numpy(n, A, B, C, x):
     return p
 
 
-@njit(cache=True)
-def _forward_numba(n, A, B, C, x):  # pragma: no cover - numba path
-    out = np.empty(len(x))
-    for q in prange(len(x)):
-        xq = x[q]
-        if n == 0:
-            out[q] = 1.0
-            continue
-        pm1 = 1.0
-        p = A[0] * xq + B[0]
-        for i in range(1, n):
-            p, pm1 = (A[i] * xq + B[i]) * p - C[i] * pm1, p
-        out[q] = p
-    return out
-
-
 def jacobi_batch(n, alpha, beta, x):
     """Values of the degree-n Jacobi polynomial at every point of ``x``."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     A, B, C = jacobi_recurrence(max(n, 1), float(alpha), float(beta))
-    if NUMBA_ENABLED:
-        return _forward_numba(n, A, B, C, x)
     return _forward_numpy(n, A, B, C, x)
 
 
@@ -142,112 +86,67 @@ def jacobi_batch(n, alpha, beta, x):
 # Safeguarded Newton/bisection refinement of sign-change brackets
 # ---------------------------------------------------------------------------
 
-_XTOL = 1e-13
+_XTOL = 1e-13       # bracket width at which a root is done
+_STEP_RTOL = 1e-15  # Newton step, relative to max(1, |x|), at which a root is done
 _MAX_REFINE = 120
 
 
 def _refine_numpy(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
+    out = np.empty(len(lo))
+    idx = np.arange(len(lo))  # roots still being refined; the rest are in out
+    pos = flo > 0.0
     x = 0.5 * (lo + hi)
-    active = np.ones(len(lo), dtype=bool)
-    for it in range(_MAX_REFINE):
-        if not active.any():
-            break
-        xa = x[active]
-        f = _clenshaw_numpy(cq, Aq, Bq, Cq, xa)
-        fp = _clenshaw_numpy(cd, Ad, Bd, Cd, xa)
-        la = lo[active]
-        ha = hi[active]
-        fla = flo[active]
-        same = (f > 0) == (fla > 0)
-        la = np.where(same, xa, la)
-        fla = np.where(same, f, fla)
-        ha = np.where(same, ha, xa)
-        # an exact zero of the evaluated series is the answer itself
+    # lengths of the last two steps; the first steps are measured on the bracket
+    last = before = hi - lo
+    for _ in range(_MAX_REFINE):
+        if len(idx) == 0:
+            return out
+        f = _clenshaw_numpy(cq, Aq, Bq, Cq, x)
+        fp = _clenshaw_numpy(cd, Ad, Bd, Cd, x)
+        same = (f > 0.0) == pos
+        lo = np.where(same, x, lo)
+        hi = np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / fp
+        newton = x - step
         hit = f == 0.0
-        la = np.where(hit, xa, la)
-        ha = np.where(hit, xa, ha)
-        done = (ha - la <= _XTOL) | hit
-        if it % 2 == 0:
-            # Newton step, clamped to the open bracket
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = xa - f / fp
-            bad = ~np.isfinite(xn) | (xn <= la) | (xn >= ha)
-            xn = np.where(bad, 0.5 * (la + ha), xn)
-        else:
-            # forced bisection so the bracket width provably halves
-            xn = 0.5 * (la + ha)
-        lo[active] = la
-        hi[active] = ha
-        flo[active] = fla
-        x[active] = np.where(done, 0.5 * (la + ha), xn)
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-    return 0.5 * (lo + hi)
-
-
-@njit(cache=True)
-def _refine_numba(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):  # pragma: no cover
-    nroot = len(lo)
-    out = np.empty(nroot)
-    mq = len(cq) - 1
-    md = len(cd) - 1
-    for r in prange(nroot):
-        a = lo[r]
-        b = hi[r]
-        fa = flo[r]
-        x = 0.5 * (a + b)
-        for it in range(_MAX_REFINE):
-            # Clenshaw for value and derivative at x
-            u1 = 0.0
-            u2 = 0.0
-            for k in range(mq, 0, -1):
-                u1, u2 = cq[k] + (Aq[k] * x + Bq[k]) * u1 - Cq[k + 1] * u2, u1
-            f = cq[0] + (Aq[0] * x + Bq[0]) * u1 - Cq[1] * u2
-            if md >= 0:
-                v1 = 0.0
-                v2 = 0.0
-                for k in range(md, 0, -1):
-                    v1, v2 = cd[k] + (Ad[k] * x + Bd[k]) * v1 - Cd[k + 1] * v2, v1
-                fp = cd[0] + (Ad[0] * x + Bd[0]) * v1 - Cd[1] * v2
-            else:
-                fp = 0.0
-            if (f > 0.0) == (fa > 0.0):
-                a = x
-                fa = f
-            else:
-                b = x
-            if f == 0.0:
-                # an exact zero of the evaluated series is the answer itself
-                a = x
-                b = x
-                break
-            if b - a <= _XTOL:
-                break
-            if it % 2 == 0 and fp != 0.0:
-                xn = x - f / fp
-                if xn <= a or xn >= b or not np.isfinite(xn):
-                    xn = 0.5 * (a + b)
-            else:
-                # forced bisection so the bracket width provably halves
-                xn = 0.5 * (a + b)
-            x = xn
-        out[r] = 0.5 * (a + b)
+        small = np.abs(step) <= _STEP_RTOL * np.maximum(1.0, np.abs(x))
+        done = hit | small | (hi - lo <= _XTOL)
+        if done.any():
+            # an exact zero is the answer itself; a converged Newton step is
+            # taken once more; a collapsed bracket gives its midpoint
+            root = np.where(hit, x, np.where(small, np.clip(newton, lo, hi),
+                                             0.5 * (lo + hi)))
+            out[idx[done]] = root[done]
+            keep = ~done
+            idx, x, lo, hi, pos = idx[keep], x[keep], lo[keep], hi[keep], pos[keep]
+            last, before = last[keep], before[keep]
+            step, newton = step[keep], newton[keep]
+        # bisect when Newton leaves the open bracket (or is not finite) or
+        # fails to halve the step before the last one
+        inside = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) <= before)
+        nxt = np.where(inside, newton, 0.5 * (lo + hi))
+        last, before = np.abs(nxt - x), last
+        x = nxt
+    out[idx] = 0.5 * (lo + hi)
     return out
 
 
 def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
     """Converge each bracket [lo, hi] (sign change, f(lo) = flo) to a root.
 
-    Newton steps on the series value, falling back to bisection whenever a
-    step leaves the current bracket; stops at bracket width <= 1e-13.
+    ``cq`` is the series f in the basis of the recurrence (Aq, Bq, Cq) and
+    ``cd`` its derivative in the basis of (Ad, Bd, Cd).  Every bracket is
+    advanced in the same numpy pass: one Clenshaw sum for f and one for f'
+    per pass, over the roots that are not yet done.  Safeguarded Newton: a
+    step leaving the bracket, or not halving the step before the last one,
+    is replaced by bisection.  A root is done when the Newton step is at most
+    1e-15 max(1, |x|) (the root is then x - f/f' clipped to the bracket),
+    when f(x) == 0 exactly, or when the bracket is at most 1e-13 wide (the
+    root is then its midpoint).
     """
     args = [np.ascontiguousarray(v, dtype=np.float64)
             for v in (cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo)]
     if len(args[8]) == 0:
         return np.empty(0)
-    if NUMBA_ENABLED:
-        return _refine_numba(*args)
     return _refine_numpy(*args)

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import MissingMassError
 from .jacobi import (
     JacobiParams,
     JacobiSeries,
@@ -97,7 +98,8 @@ def mass(seq, n):
         try:
             return float(seq.custom_values[n])
         except KeyError:
-            raise KeyError(f"custom mass sequence has no entry for n={n}") from None
+            raise MissingMassError(
+                f"custom mass sequence has no entry for n={n}") from None
     raise ValueError(f"unknown mass kind {seq.kind!r}")
 
 

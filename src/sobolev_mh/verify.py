@@ -114,11 +114,11 @@ def _reconstruct_worst(setup, n_max):
     return worst
 
 
-def _zero_shape_worst(setup, degrees, zero_cache):
+def _zero_shape_worst(setup, degrees):
     """Largest violation over: count == n, simplicity, at most one outside."""
     worst = 0.0
     for n in degrees:
-        zs = zero_cache.get((id(setup), n)) or sobolev_zeros(setup, n)
+        zs = sobolev_zeros(setup, n)
         if len(zs.zeros) != n:
             return math.inf
         if zs.outside_count > 1:
@@ -151,9 +151,8 @@ def _mh_sup_errors(setup, n_pair=(300, 600)):
     return sups
 
 
-def run_properties(zero_cache=None):
+def run_properties():
     """Structural checks that need no table values at all."""
-    zero_cache = zero_cache or {}
     out = []
 
     worst = max(_orthogonality_worst(s, 100) for s in SETUPS.values())
@@ -164,8 +163,7 @@ def run_properties(zero_cache=None):
     out.append(PropertyReport("connection-reconstruct(n<=60)", worst, 1e-8,
                               "pass" if worst <= 1e-8 else "fail"))
 
-    worst = max(_zero_shape_worst(s, (25, 50, 150, 250), zero_cache)
-                for s in SETUPS.values())
+    worst = max(_zero_shape_worst(s, (25, 50, 150, 250)) for s in SETUPS.values())
     out.append(PropertyReport("zero-count-simplicity(n<=250)", worst, 1e-12,
                               "pass" if worst < math.inf else "fail"))
 

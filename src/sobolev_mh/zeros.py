@@ -24,7 +24,7 @@ from .asymptotics import (
 from .errors import NumericError
 from .jacobi import derivative_series
 from .sobolev import sobolev_polynomial
-from .special_functions import bessel_j, bessel_j_zero
+from .special_functions import _mcmahon_guess, bessel_j, bessel_j_zero
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,11 @@ def _bracket_grid(setup, n):
     theta = np.linspace(0.0, math.pi, 10 * (n + 1))
     coarse = np.cos(theta)
     i_peak = max(1, math.ceil(n / 4))
-    u_max = min(2.0 * bessel_j_zero(p.a, i_peak), 2.0 * n)
+    # McMahon's expansion gives the far zeros to ~4 decimals, plenty for a
+    # grid bound, without computing every Bessel zero below it
+    j_peak = (_mcmahon_guess(p.a, i_peak) if i_peak >= 8
+              else bessel_j_zero(p.a, i_peak))
+    u_max = min(2.0 * j_peak, 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
     fine = 1.0 - u * u / (2.0 * n * n)
     outside = 1.0 + np.logspace(-9.0, math.log10(0.5), 160)

@@ -195,6 +195,16 @@ class TestCliErrors:
     def test_unknown_preset(self):
         assert main(["tables", "--preset", "table99"]) == 2
 
+    @pytest.mark.parametrize("job", ["tables", "zeros", "mh-curve"])
+    def test_custom_mass_without_degree_entry(self, tmp_path, capsys, job):
+        text = LEGENDRE_CFG.replace(
+            "mass = plain\nM = 0",
+            "mass = custom\nM = 0\ncustom_values = 1:0.5 2:0.25")
+        cfg = _write_cfg(tmp_path, text)
+        assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: custom mass sequence has no entry for n=10\n"
+
 
 class TestVerifyJob:
     def test_only_filter_restricts(self):

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from reference_values import TRUE_TABLES
 
+from sobolev_mh import kernels
 from sobolev_mh.asymptotics import limit_coeffs
 from sobolev_mh.errors import NumericError
-from sobolev_mh.jacobi import JacobiParams, clenshaw_eval
+from sobolev_mh.jacobi import JacobiParams, clenshaw_eval, derivative_series
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.special_functions import bessel_j_zero
 from sobolev_mh.zeros import (
     ZeroLocation,
+    _bracket_grid,
     convergence_table,
     largest_zero_location,
     limit_zeros,
@@ -21,6 +25,76 @@ from sobolev_mh.zeros import (
 
 ZERO_MASS_LEGENDRE = SobolevSetup(JacobiParams(0.0, 0.0), 3,
                                   MassSequence(MassKind.PLAIN, 0.0, 2.0))
+
+
+def _comrade_zeros(series):
+    """Zeros of a Jacobi series as eigenvalues of its comrade matrix.
+
+    In the orthonormal basis p_i = P_i / sqrt(h_i) the series is a multiple
+    of p_n + sum_{i<n} e_i p_i; its zeros are the eigenvalues of the n x n
+    Jacobi matrix of the weight with the last row corrected by -b_n e
+    (Barnett 1975; Boyd, SIAM Rev. 55 (2013) 375).
+    """
+    a, b = series.params.a, series.params.b
+    c = series.coeffs
+    n = len(c) - 1
+    i = np.arange(1, n + 1)
+    log_h = np.empty(n + 1)
+    log_h[0] = ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    log_h[1:] = [(a + b + 1.0) * math.log(2.0) - math.log(2.0 * k + a + b + 1.0)
+                 + math.lgamma(k + a + 1.0) + math.lgamma(k + b + 1.0)
+                 - math.lgamma(k + 1.0) - math.lgamma(k + a + b + 1.0) for k in i]
+    e = c[:n] / c[n] * np.exp(0.5 * (log_h[:n] - log_h[n]))
+    k = np.arange(n)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    t = 2.0 * i + a + b
+    off = np.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b)
+                  / (t * t * (t + 1.0) * (t - 1.0)))
+    # k = 1 with the (1 + a + b) factor cancelled, valid at a + b = -1
+    off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b)))
+    m = np.diag(diag) + np.diag(off[:n - 1], 1) + np.diag(off[:n - 1], -1)
+    m[n - 1, :] -= off[n - 1] * e
+    z = np.linalg.eigvals(m)
+    return z[np.argsort(-z.real)]
+
+
+@pytest.mark.parametrize("n", [25, 150])
+def test_zeros_match_comrade_eigenvalues(tabulated_setup, n):
+    ref = _comrade_zeros(sobolev_polynomial(tabulated_setup, n))
+    assert np.max(np.abs(ref.imag)) <= 1e-12
+    zs = sobolev_zeros(tabulated_setup, n)
+    assert np.max(np.abs(zs.zeros - ref.real)) <= 1e-12
+
+
+def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
+    n = 250
+    series = sobolev_polynomial(tabulated_setup, n)
+    d = derivative_series(series)
+    A, B, C = kernels.jacobi_recurrence(n + 2, series.params.a, series.params.b)
+    Ad, Bd, Cd = kernels.jacobi_recurrence(n + 1, d.params.a, d.params.b)
+    grid = _bracket_grid(tabulated_setup, n)
+    vals = kernels.clenshaw_batch(series.coeffs, A, B, C, grid)
+    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    assert len(idx) == n
+
+    passes = 0
+    clenshaw = kernels._clenshaw_numpy
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return clenshaw(*args)
+
+    monkeypatch.setattr(kernels, "_clenshaw_numpy", counted)
+    roots = kernels.refine_brackets(series.coeffs, A, B, C, d.coeffs, Ad, Bd, Cd,
+                                    grid[idx], grid[idx + 1], vals[idx])
+    assert passes <= 16
+    assert np.all((grid[idx] <= roots) & (roots <= grid[idx + 1]))
+    assert np.max(np.abs(roots[::-1] - sobolev_zeros(tabulated_setup, n).zeros)) == 0.0
 
 
 def test_legendre_zeros_match_companion_oracle():
