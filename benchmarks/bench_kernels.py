@@ -6,7 +6,9 @@ forward recurrence over the same grid, and safeguarded refinement of
 every sign-change bracket.  Besides the best-of-5 times it prints the
 Clenshaw passes of the refine (calls of the Clenshaw kernel, one for the
 value and one for the derivative per step) and how many of them one root
-takes part in on average.
+takes part in on average.  A second line times the limit layer of the
+same preset: one array Bessel evaluation of order alpha over the grid that
+``limit_zeros`` scans for six zeros, and ``limit_zeros(count=6)`` itself.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -16,9 +18,12 @@ import time
 import numpy as np
 
 from sobolev_mh import kernels
+from sobolev_mh.asymptotics import limit_coeffs
 from sobolev_mh.jacobi import derivative_series
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import sobolev_polynomial
+from sobolev_mh.special_functions import bessel_j, bessel_j_zero
+from sobolev_mh.zeros import limit_zeros
 
 
 def _timeit(fn, repeat=5):
@@ -79,6 +84,14 @@ def main():
           f"{'roots':>6s} {'passes':>7s} {'passes/root':>12s}")
     print(f"{t_clen * 1e3:15.2f} ms {t_fwd * 1e3:14.2f} ms {t_ref * 1e3:9.2f} ms "
           f"{len(roots):6d} {passes:7d} {points / len(roots):12.1f}")
+
+    lf = limit_coeffs(setup)
+    # the scan grid of limit_zeros(lf, 6)
+    xs = np.arange(1e-3, bessel_j_zero(lf.alpha, 6 + len(lf.b)) + 5.0, 0.02)
+    t_bes, _ = _timeit(lambda: bessel_j(lf.alpha, xs))
+    t_lz, _ = _timeit(lambda: limit_zeros(lf, 6))
+    print(f"{f'bessel_j({len(xs)} pts)':>18s} {'limit_zeros(6)':>17s}")
+    print(f"{t_bes * 1e3:15.2f} ms {t_lz * 1e3:14.2f} ms")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ The critical-case leading fraction is the derivative-ratio limit
 Its sign structure is pinned by exact finite-degree computation (the
 coefficients are limits of connection_coeffs, see the test suite), which
 settles the sign of the G term in the numerator.
+
+``limit_eval`` works on whole arrays: one array Bessel evaluation per
+nonzero term, with a three-term ascending form below x = 1e-4.
 """
 
 import enum
@@ -125,32 +128,40 @@ def limit_coeffs(setup):
 
 
 def limit_eval(lf, x):
-    """Evaluate sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) for x >= 0."""
+    """Evaluate sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) for x >= 0.
+
+    ``x`` may be a scalar (the result is a float) or an array; each nonzero
+    term costs one array Bessel evaluation over all points.
+    """
     a = lf.alpha
     b = lf.b
-
-    def _one(xv):
-        if xv < 0.0:
-            raise ValueError("argument must be nonnegative")
-        if xv < 1e-4:
-            # removable singularity at 0: three ascending terms suffice here
-            t = 0.25 * xv * xv
-            total = 0.0
-            for p in range(3):
-                inner = 0.0
-                for i in range(min(p, len(b) - 1) + 1):
-                    m = p - i
-                    inner += b[i] * (-1.0) ** m / (
-                        math.factorial(m) * math.exp(log_gamma(m + a + 2.0 * i + 1.0)))
-                total += inner * t ** p
-            return total
-        scale = math.exp(-a * math.log(0.5 * xv))
-        return scale * sum(b[i] * 2.0 ** i * bessel_j(a + 2.0 * i, xv)
-                           for i in range(len(b)) if b[i] != 0.0)
-
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return _one(float(x))
-    return np.array([_one(float(v)) for v in np.asarray(x, dtype=np.float64)])
+    xa = np.asarray(x, dtype=np.float64)
+    flat = xa.ravel()
+    if np.any(flat < 0.0):
+        raise ValueError("argument must be nonnegative")
+    out = np.empty(len(flat))
+    small = flat < 1e-4
+    if small.any():
+        # removable singularity at 0: three ascending terms suffice here
+        t = 0.25 * flat[small] * flat[small]
+        total = 0.0
+        for p in range(3):
+            inner = 0.0
+            for i in range(min(p, len(b) - 1) + 1):
+                m = p - i
+                inner += b[i] * 2.0 ** i * (-1.0) ** m / (
+                    math.factorial(m) * math.exp(log_gamma(m + a + 2.0 * i + 1.0)))
+            total = total + inner * t ** p
+        out[small] = total
+    if not small.all():
+        xs = flat[~small]
+        total = 0.0
+        for i in np.flatnonzero(b):
+            total = total + b[i] * 2.0 ** i * bessel_j(a + 2.0 * i, xs)
+        out[~small] = np.exp(-a * np.log(0.5 * xs)) * total
+    if xa.ndim == 0:
+        return float(out[0])
+    return out.reshape(xa.shape)
 
 
 def order_zero_identity_residual(alpha, beta, M, x):
@@ -161,13 +172,14 @@ def order_zero_identity_residual(alpha, beta, M, x):
     a(M) = -2 M (alpha+1) / (M + 2^(alpha+beta+1) Gamma(alpha+2) Gamma(alpha+1)),
     the order-zero critical limit function equals
     2^alpha (z_alpha(x) + a(M) z_{alpha+1}(x)); this returns the absolute
-    difference of the two evaluations.
+    difference of the two evaluations, a float for a scalar ``x`` and an
+    array for an array ``x``.
     """
     a = float(alpha)
     b = float(beta)
     M = float(M)
-    x = float(x)
-    if x <= 0.0:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0.0):
         raise ValueError("identity residual is defined for x > 0")
     from .sobolev import MassKind, MassSequence, SobolevSetup  # local to avoid cycle
     from .jacobi import JacobiParams
@@ -187,4 +199,5 @@ def order_zero_identity_residual(alpha, beta, M, x):
     z1 = x ** (-a) * bessel_j(a, x)
     z2 = x ** (-(a + 1.0)) * bessel_j(a + 1.0, x)
     rhs = (2.0 ** a) * (z1 + acoef * z2)
-    return abs(lhs - rhs)
+    resid = np.abs(lhs - rhs)
+    return resid if x.ndim else float(resid)

@@ -1,7 +1,7 @@
 """Command line front end.
 
     sobolev-mh <job> [--preset NAME | --config FILE] [--out DIR] [--only ID]
-               [--full-precision] [--threads N] [--slow]
+               [--full-precision] [--slow]
 
 Jobs: tables, zeros, mh-curve, limits, verify.  The environment variable
 SOBOLEV_MH_OUT overrides --out.  Exit codes: 0 ok, 1 verification failure,
@@ -153,8 +153,7 @@ def _csv_verify(result):
 
 
 def _run_verify(args, out_dir):
-    result = verify_mod.run(only=args.only, fast=not args.slow,
-                            threads=max(1, args.threads))
+    result = verify_mod.run(only=args.only, fast=not args.slow)
     n_pass = sum(1 for c in result.cells if c.status == "pass")
     n_flag = sum(1 for c in result.cells if c.status == "flagged")
     fails = [c for c in result.cells if c.status == "fail"]
@@ -195,7 +194,6 @@ def build_parser():
     p.add_argument("--only", help="verify: restrict to one table id")
     p.add_argument("--full-precision", action="store_true",
                    help="add full-precision columns to CSV output")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--slow", action="store_true",
                    help="verify: include the degree-500 rows")
     return p

@@ -5,7 +5,9 @@ recurrence index and in numpy over the evaluation points, so one pass of a
 degree-m series over k points costs m numpy operations on length-k arrays.
 
 ``refine_brackets`` converges every sign-change bracket together with a
-safeguarded Newton method.  A root is done once its Newton step is below
+safeguarded Newton method, ``_rtsafe``, which takes any function that
+returns values and derivatives on an array; the Bessel zeros and the
+limit-function zeros use it too.  A root is done once its Newton step is below
 1e-15 relative to max(1, |x|), on an exact zero of the series, or when its
 bracket is at most 1e-13 wide.  A step falls back to bisection only when
 Newton would leave the bracket or fails to halve the step before the last
@@ -91,7 +93,9 @@ _STEP_RTOL = 1e-15  # Newton step, relative to max(1, |x|), at which a root is d
 _MAX_REFINE = 120
 
 
-def _refine_numpy(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
+def _rtsafe(fdf, lo, hi, flo):
+    """Converge every bracket [lo, hi] (sign change, f(lo) = flo) together;
+    ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``."""
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
     pos = flo > 0.0
@@ -101,8 +105,7 @@ def _refine_numpy(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
     for _ in range(_MAX_REFINE):
         if len(idx) == 0:
             return out
-        f = _clenshaw_numpy(cq, Aq, Bq, Cq, x)
-        fp = _clenshaw_numpy(cd, Ad, Bd, Cd, x)
+        f, fp = fdf(x)
         same = (f > 0.0) == pos
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
@@ -147,6 +150,6 @@ def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
     """
     args = [np.ascontiguousarray(v, dtype=np.float64)
             for v in (cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo)]
-    if len(args[8]) == 0:
-        return np.empty(0)
-    return _refine_numpy(*args)
+    cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo = args
+    return _rtsafe(lambda x: (_clenshaw_numpy(cq, Aq, Bq, Cq, x),
+                              _clenshaw_numpy(cd, Ad, Bd, Cd, x)), lo, hi, flo)

@@ -1,15 +1,21 @@
 """Gamma and Bessel primitives used by every layer above.
 
-Self-contained: log-gamma via a 9-term Lanczos approximation, Bessel J of
-real order nu > -1 via power series (extended-precision accumulation) with
-a large-argument asymptotic branch, and Bessel zeros by McMahon-type
-guesses refined with safeguarded Newton.
+Self-contained: log-gamma via a 9-term Lanczos approximation; Bessel J of
+real order nu > -1 over a whole array of arguments at once, by the
+ascending series (extended-precision accumulation) below the crossover
+max(14, 1.4|nu|) and above it by the large-argument expansion (DLMF 10.17)
+at a base order in [-1/2, 1/2) followed by the upward order recurrence
+(DLMF 10.6); and Bessel zeros, bracketed by McMahon's expansion from the
+8th zero on and by a vector scan below it, then refined together by the
+safeguarded Newton method shared with the polynomial zeros.
 """
 
 import math
 import threading as _threading
 
 import numpy as np
+
+from .kernels import _rtsafe
 
 # Lanczos g = 7, 9 terms; relative error of exp(log_gamma) is a few ulp for
 # real positive arguments.
@@ -65,66 +71,56 @@ _LD = np.longdouble
 
 
 def _series_j(nu, x):
-    # ascending series, accumulated in extended precision to push the
-    # alternating-term cancellation floor below 1e-12 up to the crossover
-    q = _LD(x) * _LD(0.5)
-    q2 = q * q
-    log_t0 = nu * math.log(0.5 * x) - log_gamma(nu + 1.0)
-    term = _LD(math.exp(log_t0))
+    # ascending series over the array x, accumulated in extended precision
+    # to push the alternating-term cancellation floor below 1e-12 up to the
+    # crossover.  A point stops at its first term below 1e-22 of its sum;
+    # the terms are formed 16 at a time, one row per k
+    q = x.astype(_LD) * _LD(0.5)
+    nq2 = -(q * q)
+    term = np.exp(nu * np.log(0.5 * x) - log_gamma(nu + 1.0)).astype(_LD)
     total = term
-    for k in range(1, 400):
-        term = -term * q2 / (_LD(k) * _LD(k + nu))
-        total += term
-        if abs(float(term)) <= 1e-22 * (abs(float(total)) + 1e-30):
-            break
-    return float(total)
-
-
-def _hankel_pq(nu, x):
-    # P/Q sums of the large-argument expansion; terms decrease fast for
-    # |nu| <= 0.5 and x >= 14
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    t = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        t *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(t) >= prev:
-            break
-        prev = abs(t)
-        if k % 2 == 1:
-            q += t if k % 4 == 1 else -t
-        else:
-            p += t if k % 4 == 0 else -t
-        if abs(t) < 1e-18:
-            break
-    return p, q
+    out = np.empty(len(x))
+    idx = np.arange(len(x))  # points still summing; the rest are in out
+    for k0 in range(1, 400, 16):
+        k = np.arange(k0, min(k0 + 16, 400))[:, None]
+        terms = nq2 / (k.astype(_LD) * (k + nu).astype(_LD))
+        terms[0] *= term
+        np.cumprod(terms, axis=0, out=terms)
+        totals = total + np.cumsum(terms, axis=0)
+        done = np.abs(terms) <= 1e-22 * (np.abs(totals) + 1e-30)
+        fin = done.any(axis=0)
+        out[idx[fin]] = totals[done.argmax(axis=0)[fin], np.flatnonzero(fin)]
+        live = ~fin
+        idx, nq2, term, total = idx[live], nq2[live], terms[-1, live], totals[-1, live]
+        if len(idx) == 0:
+            return out
+    out[idx] = total
+    return out
 
 
 def _asymptotic_j(nu, x):
-    p, q = _hankel_pq(nu, x)
+    # large-argument expansion (DLMF 10.17.3); its P/Q terms decrease fast
+    # for |nu| <= 0.5 and x >= 14.  A point sums its terms up to the first
+    # one that fails to decrease (left out) or is below 1e-18 (kept); all
+    # 39 terms of every point are formed at once, one row per k
+    k = np.arange(1, 40)[:, None]
+    t = np.cumprod((4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x), axis=0)
+    a = np.abs(t)
+    keep = np.logical_and.accumulate(
+        np.vstack([np.ones((1, len(x)), dtype=bool),
+                   (a[1:] < a[:-1]) & (a[:-1] >= 1e-18)]), axis=0)
+    t = np.where(keep, np.where(k % 4 < 2, t, -t), 0.0)
+    # cumulative sums add in k order whatever the number of points
+    p = 1.0 + np.cumsum(t[1::2], axis=0)[-1]
+    q = np.cumsum(t[0::2], axis=0)[-1]
     omega = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(omega) - q * np.sin(omega))
 
 
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x) for nu > -1, x >= 0."""
-    nu = float(nu)
-    x = float(x)
-    if nu <= -1.0:
-        raise ValueError(f"order must exceed -1, got {nu}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        return 0.0 if nu > 0.0 else math.inf
-    crossover = max(14.0, 1.4 * abs(nu))
-    if x < crossover:
-        return _series_j(nu, x)
+def _upward_j(nu, x):
     # reduce to a base order in [-0.5, 0.5) where the asymptotic expansion
-    # converges fastest, then recur upward (stable for x above the crossover)
+    # converges fastest, then recur upward (DLMF 10.6.1; stable for x above
+    # the crossover)
     m = math.floor(nu + 0.5)
     nu0 = nu - m
     j0 = _asymptotic_j(nu0, x)
@@ -132,7 +128,7 @@ def bessel_j(nu, x):
         return j0
     j1 = _asymptotic_j(nu0 + 1.0, x)
     if m == -1:
-        return (2.0 * (nu0) / x) * j0 - j1
+        return (2.0 * nu0 / x) * j0 - j1
     s = nu0 + 1.0
     for _ in range(m - 1):
         j0, j1 = j1, (2.0 * s / x) * j1 - j0
@@ -140,9 +136,32 @@ def bessel_j(nu, x):
     return j1
 
 
-def _bessel_j_prime(nu, x):
-    # J'_nu via the order-raising relation; avoids orders below -1
-    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
+def bessel_j(nu, x):
+    """Bessel function of the first kind J_nu(x) for nu > -1, x >= 0.
+
+    ``x`` may be a scalar (the result is a float) or an array (the result
+    is an array of its shape).
+    """
+    nu = float(nu)
+    if nu <= -1.0:
+        raise ValueError(f"order must exceed -1, got {nu}")
+    xa = np.asarray(x, dtype=np.float64)
+    flat = xa.ravel()
+    if np.any(flat < 0.0):
+        raise ValueError(f"argument must be nonnegative, got {flat.min()}")
+    out = np.empty(len(flat))
+    zero = flat == 0.0
+    out[zero] = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
+    near = (flat < max(14.0, 1.4 * abs(nu))) & ~zero
+    for branch, fn in ((near, _series_j), (~(near | zero), _upward_j)):
+        idx = np.flatnonzero(branch)
+        # 256 points at a time keep the per-term 2-D arrays small
+        for start in range(0, len(idx), 256):
+            part = idx[start:start + 256]
+            out[part] = fn(nu, flat[part])
+    if xa.ndim == 0:
+        return float(out[0])
+    return out.reshape(xa.shape)
 
 
 def _mcmahon_guess(nu, i):
@@ -153,43 +172,18 @@ def _mcmahon_guess(nu, i):
             - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
 
 
-def _refine_zero(nu, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = bessel_j(nu, mid)
-        if (f > 0.0) == (flo > 0.0):
-            lo, flo = mid, f
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-        fp = _bessel_j_prime(nu, mid)
-        if fp != 0.0:
-            step = mid - f / fp
-            if lo < step < hi:
-                fs = bessel_j(nu, step)
-                if (fs > 0.0) == (flo > 0.0):
-                    lo, flo = step, fs
-                else:
-                    hi = step
-    return 0.5 * (lo + hi)
-
-
-def _bracket_next(nu, prev):
-    # first sign change past the previous zero (or past 0 for the first)
-    start = prev + 0.35 if prev > 0.0 else 1e-7
-    step = 0.18
-    x0 = start
-    f0 = bessel_j(nu, x0)
-    for _ in range(4000):
-        x1 = x0 + step
-        f1 = bessel_j(nu, x1)
-        if f0 == 0.0:
-            return x0 - 1e-9, x0 + 1e-9, bessel_j(nu, x0 - 1e-9)
-        if (f0 > 0.0) != (f1 > 0.0):
-            return x0, x1, f0
-        x0, f0 = x1, f1
-    raise RuntimeError(f"failed to bracket a zero of J_{nu} past {prev}")
+def _scan_brackets(nu, start, count):
+    # the first `count` sign changes of J_nu past `start`, on a 0.18 grid
+    # whose span doubles until it holds them
+    span = (count + 0.5 * abs(nu) + 2.0) * math.pi
+    for _ in range(4):
+        xs = start + 0.18 * np.arange(math.ceil(span / 0.18) + 1)
+        vals = bessel_j(nu, xs)
+        idx = np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0))[:count]
+        if len(idx) == count:
+            return xs[idx], xs[idx + 1], vals[idx]
+        span *= 2.0
+    raise RuntimeError(f"failed to bracket {count} zeros of J_{nu} past {start}")
 
 
 _zero_cache = {}
@@ -208,29 +202,42 @@ def bessel_j_zero(nu, i):
     if len(zeros) >= i:
         return zeros[i - 1]
     with _zero_cache_lock:
-        return _extend_zero_cache(nu, zeros, i)
+        if len(zeros) < i:
+            _extend_zero_cache(nu, zeros, i)
+        return zeros[i - 1]
 
 
 def _extend_zero_cache(nu, zeros, i):
-    while len(zeros) < i:
-        k = len(zeros) + 1
-        prev = zeros[-1] if zeros else 0.0
-        lo = hi = flo = None
-        if k >= 8:
-            # McMahon guess is well inside the correct interoscillation gap
-            g = _mcmahon_guess(nu, k)
-            for w in (0.6, 1.2, 2.0):
-                a = max(g - w, prev + 0.3)
-                b = g + w
-                fa = bessel_j(nu, a)
-                fb = bessel_j(nu, b)
-                if (fa > 0.0) != (fb > 0.0):
-                    lo, hi, flo = a, b, fa
-                    break
-        if lo is None:
-            lo, hi, flo = _bracket_next(nu, prev)
-        z = _refine_zero(nu, lo, hi, flo)
-        if zeros and z <= zeros[-1]:
-            raise RuntimeError(f"zero ordering broke for J_{nu} at index {k}")
-        zeros.append(z)
-    return zeros[i - 1]
+    # bracket every missing zero k = len(zeros)+1 .. i, then refine them all
+    # in one safeguarded Newton pass
+    prev = zeros[-1] if zeros else 0.0
+    ks = np.arange(len(zeros) + 1, i + 1)
+    lo, hi, flo = np.full((3, len(ks)), np.nan)
+    far = np.flatnonzero(ks >= 8)
+    # McMahon's guess is well inside the correct interoscillation gap
+    g = _mcmahon_guess(nu, ks[far])
+    for w in (0.6, 1.2, 2.0):
+        if len(far) == 0:
+            break
+        a = np.maximum(g - w, prev + 0.3)
+        b = g + w
+        fa = bessel_j(nu, a)
+        found = ((fa > 0.0) != (bessel_j(nu, b) > 0.0)) & (a < b)
+        lo[far[found]], hi[far[found]], flo[far[found]] = a[found], b[found], fa[found]
+        far, g = far[~found], g[~found]
+    # the rest (k < 8, or no McMahon bracket) from one scan past prev
+    rest = np.flatnonzero(np.isnan(lo))
+    if len(rest):
+        slo, shi, sflo = _scan_brackets(nu, prev + 0.35 if prev > 0.0 else 1e-7,
+                                        rest[-1] + 1)
+        lo[rest], hi[rest], flo[rest] = slo[rest], shi[rest], sflo[rest]
+
+    def fdf(x):
+        # J'_nu via the order-raising relation; avoids orders below -1
+        jx = bessel_j(nu, x)
+        return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
+
+    z = _rtsafe(fdf, lo, hi, flo)
+    if np.any(np.diff(np.concatenate([[prev], z])) <= 0.0):
+        raise RuntimeError(f"zero ordering broke for J_{nu} at index {len(zeros) + 1}")
+    zeros.extend(float(v) for v in z)

@@ -5,7 +5,6 @@ or persist the reports.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ def _experiment_cells(exp_name, degrees, tolerances):
     return cells
 
 
-def run_golden(only=None, fast=True, threads=1, tolerances=None):
+def run_golden(only=None, fast=True, tolerances=None):
     """Recompute and compare the embedded tables; returns CellReports."""
     if only is not None:
         if only not in golden.TABLES:
@@ -70,15 +69,8 @@ def run_golden(only=None, fast=True, threads=1, tolerances=None):
         experiments = sorted(golden.EXPERIMENT_TABLES)
     degrees = FAST_DEGREES if fast else FULL_DEGREES
     cells = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {exp: pool.submit(_experiment_cells, exp, degrees, tolerances)
-                    for exp in experiments}
-            for exp in experiments:
-                cells.extend(futs[exp].result())
-    else:
-        for exp in experiments:
-            cells.extend(_experiment_cells(exp, degrees, tolerances))
+    for exp in experiments:
+        cells.extend(_experiment_cells(exp, degrees, tolerances))
     if only is not None:
         cells = [c for c in cells if c.table == only]
     return cells
@@ -167,19 +159,18 @@ def run_properties():
     out.append(PropertyReport("zero-count-simplicity(n<=250)", worst, 1e-12,
                               "pass" if worst < math.inf else "fail"))
 
-    worst = 0.0
-    for a, b, M in ((0.0, 0.0, 1.0), (0.7, -0.3, 2.3), (-0.5, 0.25, 10.0)):
-        for x in np.linspace(0.1, 30.0, 120):
-            worst = max(worst, order_zero_identity_residual(a, b, M, x))
+    xs = np.linspace(0.1, 30.0, 120)
+    worst = max(float(np.max(order_zero_identity_residual(a, b, M, xs)))
+                for a, b, M in ((0.0, 0.0, 1.0), (0.7, -0.3, 2.3), (-0.5, 0.25, 10.0)))
     out.append(PropertyReport("order-zero-identity", worst, 1e-9,
                               "pass" if worst <= 1e-9 else "fail"))
 
     worst = 0.0
+    xs = np.linspace(0.1, 50.0, 160)
     for nu in (-0.9, -0.25, 0.5, 1.0, 3.0, 6.5, 10.0):
-        for x in np.linspace(0.1, 50.0, 160):
-            r = abs(bessel_j(nu, x) - (2.0 * (nu + 1.0) / x) * bessel_j(nu + 1.0, x)
-                    + bessel_j(nu + 2.0, x))
-            worst = max(worst, r)
+        r = np.abs(bessel_j(nu, xs) - (2.0 * (nu + 1.0) / xs) * bessel_j(nu + 1.0, xs)
+                   + bessel_j(nu + 2.0, xs))
+        worst = max(worst, float(np.max(r)))
     out.append(PropertyReport("bessel-three-term", worst, 1e-10,
                               "pass" if worst <= 1e-10 else "fail"))
 
@@ -201,7 +192,7 @@ def run_properties():
     return out
 
 
-def run(only=None, fast=True, threads=1, tolerances=None, with_properties=True):
-    cells = run_golden(only=only, fast=fast, threads=threads, tolerances=tolerances)
+def run(only=None, fast=True, tolerances=None, with_properties=True):
+    cells = run_golden(only=only, fast=fast, tolerances=tolerances)
     props = run_properties() if with_properties else []
     return VerifyResult(cells=cells, properties=props)

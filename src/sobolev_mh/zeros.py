@@ -5,6 +5,10 @@ endpoint and at most one sits above 1, so the bracketing grid has three
 parts: a cosine-spaced sweep of [-1, 1], a fine endpoint grid in the
 scaled variable u (x = 1 - u^2/(2n^2)) where consecutive clustered zeros
 are O(1) apart, and an expanding search on (1, 1.5] for the exterior zero.
+
+The zeros of the limit function are bracketed by a 0.02 scan from 1e-3
+and refined all together by the same safeguarded Newton method
+(``kernels._rtsafe``) on its value and derivative.
 """
 
 import enum
@@ -107,7 +111,7 @@ def sobolev_zeros(setup, n):
     if len(roots) != n:
         raise NumericError(
             f"found {len(roots)} of {n} zeros for degree {n}; "
-            f"bracketed roots: {roots[:8]!r}...")
+            f"bracketed roots: {', '.join(f'{r:.17g}' for r in roots[:8])}...")
     return ZeroSet(n=n, zeros=roots[::-1].copy())
 
 
@@ -124,16 +128,21 @@ def scaled_zeros(setup, n, count):
     return ScaledZeros(n=int(n), values=vals, outside=outside)
 
 
-def _limit_deriv(lf, x):
+def _limit_fdf(lf, x):
+    # the limit function L and L' = (x/2)^(-a) sum_i b_i 2^i ((2i/x) J_{a+2i}
+    # - J_{a+2i+1}) on the array x > 0, the odd orders from J_{nu+1} =
+    # x (J_nu + J_{nu+2}) / (2 (nu + 1)): one Bessel pass per even order
     a = lf.alpha
-    scale = math.exp(-a * math.log(0.5 * x))
-    total = 0.0
-    for i, bi in enumerate(lf.b):
-        if bi == 0.0:
-            continue
-        nu = a + 2.0 * i
-        total += bi * 2.0 ** i * ((2.0 * i / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x))
-    return scale * total
+    terms = [i for i, bi in enumerate(lf.b) if bi != 0.0]
+    J = {k: bessel_j(a + 2.0 * k, x) for k in sorted({*terms, *(i + 1 for i in terms)})}
+    f = fp = 0.0
+    for i in terms:
+        w = lf.b[i] * 2.0 ** i
+        f = f + w * J[i]
+        fp = fp + w * ((2.0 * i / x) * J[i]
+                       - x * (J[i] + J[i + 1]) / (2.0 * (a + 2.0 * i + 1.0)))
+    scale = np.exp(-a * np.log(0.5 * x))
+    return scale * f, scale * fp
 
 
 def limit_zeros(lf, count):
@@ -152,30 +161,8 @@ def limit_zeros(lf, count):
         U *= 2.0
     else:
         raise NumericError(f"found only {len(idx)} limit-function zeros below {U}")
-    roots = []
-    for k in idx[:count]:
-        lo, hi = xs[k], xs[k + 1]
-        flo = vals[k]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f = limit_eval(lf, mid)
-            if (f > 0.0) == (flo > 0.0):
-                lo, flo = mid, f
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
-                break
-            fp = _limit_deriv(lf, mid)
-            if fp != 0.0:
-                step = mid - f / fp
-                if lo < step < hi:
-                    fs = limit_eval(lf, step)
-                    if (fs > 0.0) == (flo > 0.0):
-                        lo, flo = step, fs
-                    else:
-                        hi = step
-        roots.append(0.5 * (lo + hi))
-    return np.array(roots)
+    idx = idx[:count]
+    return kernels._rtsafe(lambda x: _limit_fdf(lf, x), xs[idx], xs[idx + 1], vals[idx])
 
 
 def largest_zero_location(setup, n):

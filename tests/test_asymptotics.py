@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from reference_values import TRUE_LIMIT_COEFFS
 
@@ -140,6 +141,20 @@ class TestLimitEval:
             ref = (x / 2.0) ** -3.0 * bessel_j(3.0, x)
             assert abs(limit_eval(lf, x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_array_matches_scipy_terms(self, tabulated_setup):
+        # the error is measured against the sum of |terms| at the point plus
+        # its largest value on the grid: a one-term function has zeros, where
+        # any pointwise relative error is unbounded
+        lf = limit_coeffs(tabulated_setup)
+        xs = np.concatenate([[1e-6, 5e-5, 9.9e-5], np.linspace(1e-3, 40.0, 4000)])
+        i = np.arange(len(lf.b))[:, None]
+        terms = (lf.b[:, None] * 2.0 ** i * (0.5 * xs) ** -lf.alpha
+                 * jv(lf.alpha + 2.0 * i, xs))
+        size = np.abs(terms).sum(axis=0)
+        err = np.abs(limit_eval(lf, xs) - terms.sum(axis=0))
+        assert np.all(err <= 1e-12 * (size + size.max()))
+        assert limit_eval(lf, float(xs[2000])) == limit_eval(lf, xs)[2000]
+
     def test_negative_argument_rejected(self, supercritical):
         with pytest.raises(ValueError):
             limit_eval(limit_coeffs(supercritical), -0.5)
@@ -155,6 +170,14 @@ class TestOrderZeroIdentity:
         a, b, M = abM
         for x in np.linspace(0.1, 30.0, 90):
             assert order_zero_identity_residual(a, b, M, x) <= 1e-9
+
+    def test_array_argument(self):
+        xs = np.linspace(0.1, 30.0, 90)
+        resid = order_zero_identity_residual(0.7, -0.3, 2.3, xs)
+        assert resid.shape == xs.shape
+        assert resid[17] == order_zero_identity_residual(0.7, -0.3, 2.3, xs[17])
+        with pytest.raises(ValueError):
+            order_zero_identity_residual(0.0, 0.0, 1.0, np.array([1.0, 0.0]))
 
     def test_vanishing_mass_degenerates_gracefully(self):
         for x in (0.5, 3.0, 12.0):

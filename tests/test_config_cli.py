@@ -206,6 +206,24 @@ class TestCliErrors:
         assert err == "config error: custom mass sequence has no entry for n=10\n"
 
 
+    def test_numeric_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        from sobolev_mh import zeros
+
+        found = zeros._roots_from_grid
+        # a grid that misses a zero, as the exterior zero above 1.5 does
+        monkeypatch.setattr(zeros, "_roots_from_grid",
+                            lambda series, grid: found(series, grid)[1:])
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG)
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: found 9 of 10 zeros")
+        assert len(err.splitlines()) == 1
+
+    def test_threads_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
+
 class TestVerifyJob:
     def test_only_filter_restricts(self):
         cells = verify_mod.run_golden(only="table5", fast=True)

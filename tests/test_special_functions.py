@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jn_zeros, jv
 
 from sobolev_mh.special_functions import bessel_j, bessel_j_zero, gamma_ratio, log_gamma
 
@@ -104,6 +105,35 @@ class TestBesselJ:
         assert abs(resid) <= 1e-10
 
 
+class TestBesselJArray:
+    @pytest.mark.parametrize("nu", [-0.9, -0.25, 0.5, 2.1, 6.1, 15.1])
+    def test_against_scipy(self, nu):
+        # both branches and the crossover; the worst is 1.6e-13, near x = 14
+        xs = np.linspace(0.01, 60.0, 6001)
+        vals = bessel_j(nu, xs)
+        assert np.max(np.abs(vals - jv(nu, xs))) <= 1e-12
+        # a scalar argument takes the same path as one array element
+        for k in range(0, 6001, 97):
+            assert bessel_j(nu, float(xs[k])) == vals[k]
+
+    @pytest.mark.xfail(strict=True,
+                       reason="the ascending series cancels below the crossover "
+                              "1.4 nu: 7.1e-11 at x = 33.63 for nu = 24.1")
+    def test_high_order_below_crossover(self):
+        xs = np.linspace(30.0, 34.0, 401)
+        assert np.max(np.abs(bessel_j(24.1, xs) - jv(24.1, xs))) <= 1e-12
+
+    def test_shape_origin_and_domain(self):
+        xs = np.array([[0.0, 1.0], [20.0, 3.0]])
+        vals = bessel_j(0.0, xs)
+        assert vals.shape == (2, 2)
+        assert vals[0, 0] == 1.0 and vals[1, 0] == bessel_j(0.0, 20.0)
+        assert isinstance(bessel_j(2.5, 0.0), float)
+        assert np.isinf(bessel_j(-0.5, np.array([0.0, 1.0]))[0])
+        with pytest.raises(ValueError):
+            bessel_j(1.0, np.array([1.0, -1e-9]))
+
+
 def _series_j0(x):
     # independent ascending series for J_0, plenty of terms for x <= 3
     total = 0.0
@@ -150,6 +180,15 @@ class TestBesselZeros:
         for i in range(1, 21):
             assert bessel_j_zero(nu, i) < bessel_j_zero(nu + 1.0, i)
             assert bessel_j_zero(nu + 1.0, i) < bessel_j_zero(nu, i + 1)
+
+    @pytest.mark.parametrize("nu", [5, 13])
+    def test_against_scipy_integer_orders(self, nu):
+        # the 25th zero first: one call brackets the scanned zeros (k < 8)
+        # and the McMahon windows (k >= 8) together
+        z25 = bessel_j_zero(float(nu), 25)
+        zs = np.array([bessel_j_zero(float(nu), k) for k in range(1, 26)])
+        assert zs[-1] == z25
+        assert np.max(np.abs(zs - jn_zeros(nu, 25))) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
