@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time the hot numpy kernels on the zero-extraction inner loop.
 
-Workload: a degree-500 series evaluated over a bracketing grid, the
-forward recurrence over the same grid, and safeguarded refinement of
-every sign-change bracket.  Besides the best-of-5 times it prints the
-Clenshaw passes of the refine (calls of the Clenshaw kernel, one for the
-value and one for the derivative per step) and how many of them one root
-takes part in on average.  A second line times the limit layer of the
+Workload: a degree-500 series evaluated over a bracketing grid by
+Clenshaw, and safeguarded refinement of every sign-change bracket.
+Besides the best-of-5 times it prints the Clenshaw passes of the refine
+(calls of the Clenshaw kernel, one for the value and one for the
+derivative per step) and how many of them one root takes part in on
+average.  A second line times the limit layer of the
 same preset: one array Bessel evaluation of order alpha over the grid that
 ``limit_zeros`` scans for six zeros, and ``limit_zeros(count=6)`` itself.
 
@@ -59,8 +59,7 @@ def main():
     setup = SETUPS["critical-small-mass"]
     series = sobolev_polynomial(setup, 500)
     c = series.coeffs
-    a, b = series.params.a, series.params.b
-    A, B, C = kernels.jacobi_recurrence(len(c) + 1, a, b)
+    A, B, C = kernels.jacobi_recurrence(len(c) + 1, series.params.a, series.params.b)
     d = derivative_series(series)
     Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a, d.params.b)
     grid = np.unique(np.concatenate([
@@ -69,7 +68,6 @@ def main():
     ]))
 
     t_clen, vals = _timeit(lambda: kernels.clenshaw_batch(c, A, B, C, grid))
-    t_fwd, _ = _timeit(lambda: kernels.jacobi_batch(500, a, b, grid))
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
     lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
@@ -80,9 +78,9 @@ def main():
     t_ref, roots = _timeit(refine)
     passes, points = _count_clenshaw_passes(refine)
 
-    print(f"{'clenshaw(5k pts)':>18s} {'forward(5k pts)':>17s} {'refine':>12s} "
+    print(f"{'clenshaw(5k pts)':>18s} {'refine':>12s} "
           f"{'roots':>6s} {'passes':>7s} {'passes/root':>12s}")
-    print(f"{t_clen * 1e3:15.2f} ms {t_fwd * 1e3:14.2f} ms {t_ref * 1e3:9.2f} ms "
+    print(f"{t_clen * 1e3:15.2f} ms {t_ref * 1e3:9.2f} ms "
           f"{len(roots):6d} {passes:7d} {points / len(roots):12.1f}")
 
     lf = limit_coeffs(setup)

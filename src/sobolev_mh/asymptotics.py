@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .jacobi import JacobiParams, solve_connection
+from .sobolev import MassKind, MassSequence, SobolevSetup
 from .special_functions import bessel_j, log_gamma
 
 
@@ -80,23 +82,13 @@ class LimitFunction:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
 
 
-def _order_shift_limit(k, i, a):
-    # limit of the derivative-ratio matrix entries: 2^k Gamma(a+i+1)/Gamma(a+i+k+1)
-    return math.exp(k * math.log(2.0) + log_gamma(a + i + 1.0) - log_gamma(a + i + k + 1.0))
+def _order_shift_limit(i, k, a):
+    # limit of the derivative-ratio matrix entries: 2^i Gamma(a+k+1)/Gamma(a+k+i+1)
+    return math.exp(i * math.log(2.0) + log_gamma(a + k + 1.0) - log_gamma(a + k + i + 1.0))
 
 
 def _solve_limit_system(lead, j, a):
-    b = np.empty(j + 2)
-    for i in range(j + 2):
-        acc = lead(i)
-        sign = 1.0
-        fact = 1.0
-        for k in range(i):
-            acc -= b[k] * math.comb(i, k) * sign * fact * _order_shift_limit(k, i, a)
-            sign = -sign
-            fact *= k + 1.0
-        b[i] = acc / (sign * fact * _order_shift_limit(i, i, a))
-    return b
+    return solve_connection(lead, lambda i, k: _order_shift_limit(i, k, a), j + 2)
 
 
 def limit_coeffs(setup):
@@ -181,9 +173,6 @@ def order_zero_identity_residual(alpha, beta, M, x):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise ValueError("identity residual is defined for x > 0")
-    from .sobolev import MassKind, MassSequence, SobolevSetup  # local to avoid cycle
-    from .jacobi import JacobiParams
-
     gamma_crit = Fraction(2) * (Fraction(a).limit_denominator(10**12) + 1)
     setup = SobolevSetup(
         params=JacobiParams(Fraction(a).limit_denominator(10**12),

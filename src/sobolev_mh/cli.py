@@ -19,12 +19,13 @@ import numpy as np
 
 from . import verify as verify_mod
 from .asymptotics import limit_coeffs, limit_eval
-from .config import parse_config
+from .config import JOBS, parse_config
 from .errors import ConfigError, NumericError
 from .jacobi import clenshaw_eval
 from .presets import get_preset
 from .sobolev import sobolev_polynomial
-from .zeros import convergence_table, sobolev_zeros
+from .svg import line_chart
+from .zeros import convergence_table, limit_zeros, sobolev_zeros
 
 
 def _fmt(v, full=False):
@@ -45,10 +46,6 @@ def atomic_write_text(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _out_path(out_dir, name):
-    return os.path.join(out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +77,7 @@ def _csv_tables(cfg, full_precision):
         if full_precision:
             rec += ["", ""]
         lines.append(",".join(rec))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
 def _csv_zeros(cfg, full_precision):
@@ -92,12 +89,10 @@ def _csv_zeros(cfg, full_precision):
             if full_precision:
                 rec += f",{_fmt(z, True)}"
             lines.append(rec)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
 def _csv_limits(cfg, full_precision):
-    from .zeros import limit_zeros
-
     lf = limit_coeffs(cfg.setup)
     regime = lf.regime
     zs = limit_zeros(lf, cfg.zero_count)
@@ -116,12 +111,10 @@ def _csv_limits(cfg, full_precision):
         add("coeff", i, b)
     for i, z in enumerate(zs, start=1):
         add("zero", i, z)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
 def _mh_curve(cfg, full_precision):
-    from .svg import line_chart
-
     xs = np.linspace(0.0, cfg.x_max, cfg.points)
     lf = limit_coeffs(cfg.setup)
     ref = limit_eval(lf, xs)
@@ -174,9 +167,18 @@ def _run_verify(args, out_dir):
           f"properties: {sum(p.status == 'pass' for p in result.properties)}"
           f"/{len(result.properties)} pass")
     if out_dir is not None:
-        atomic_write_text(_out_path(out_dir, "verify_report.csv"),
+        atomic_write_text(os.path.join(out_dir, "verify_report.csv"),
                           _csv_verify(result))
     return 0 if result.ok else 1
+
+
+# job -> (writer returning the CSV text, then the SVG text of a curve; file suffix)
+_WRITERS = {
+    "tables": (_csv_tables, "tables"),
+    "zeros": (_csv_zeros, "zeros"),
+    "limits": (_csv_limits, "limits"),
+    "mh-curve": (_mh_curve, "curve"),
+}
 
 
 def build_parser():
@@ -185,7 +187,7 @@ def build_parser():
         description="Varying-mass Jacobi-Sobolev polynomials: zero tables, "
                     "endpoint limit curves and verification against the "
                     "embedded reference tables.")
-    p.add_argument("job", choices=["tables", "zeros", "mh-curve", "limits", "verify"])
+    p.add_argument("job", choices=JOBS)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--preset", help="named experiment preset (e.g. table2)")
     g.add_argument("--config", help="experiment configuration file")
@@ -216,29 +218,13 @@ def main(argv=None):
         else:
             raise ConfigError(f"job '{args.job}' needs --preset or --config")
 
-        if args.job == "tables":
-            text = _csv_tables(cfg, args.full_precision)
-            path = cfg.csv_path or f"{cfg.id}_tables.csv"
-            atomic_write_text(_out_path(out_dir, path), text)
-            print(_out_path(out_dir, path))
-        elif args.job == "zeros":
-            text = _csv_zeros(cfg, args.full_precision)
-            path = cfg.csv_path or f"{cfg.id}_zeros.csv"
-            atomic_write_text(_out_path(out_dir, path), text)
-            print(_out_path(out_dir, path))
-        elif args.job == "limits":
-            text = _csv_limits(cfg, args.full_precision)
-            path = cfg.csv_path or f"{cfg.id}_limits.csv"
-            atomic_write_text(_out_path(out_dir, path), text)
-            print(_out_path(out_dir, path))
-        elif args.job == "mh-curve":
-            csv_text, svg_text = _mh_curve(cfg, args.full_precision)
-            csv_path = cfg.csv_path or f"{cfg.id}_curve.csv"
-            svg_path = cfg.svg_path or f"{cfg.id}_curve.svg"
-            atomic_write_text(_out_path(out_dir, csv_path), csv_text)
-            atomic_write_text(_out_path(out_dir, svg_path), svg_text)
-            print(_out_path(out_dir, csv_path))
-            print(_out_path(out_dir, svg_path))
+        writer, suffix = _WRITERS[args.job]
+        names = (cfg.csv_path or f"{cfg.id}_{suffix}.csv",
+                 cfg.svg_path or f"{cfg.id}_{suffix}.svg")
+        for name, text in zip(names, writer(cfg, args.full_precision)):
+            path = os.path.join(out_dir, name)
+            atomic_write_text(path, text)
+            print(path)
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

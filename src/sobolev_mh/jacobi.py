@@ -1,8 +1,10 @@
 """Classical Jacobi polynomials under the binomial normalization P_n(1) = C(n+a, n).
 
 Values at 1, derivative values at 1 and squared norms are closed Gamma
-expressions evaluated in log space; pointwise evaluation goes through the
-three-term recurrence (forward for a single degree, Clenshaw for series).
+expressions evaluated in log space; pointwise evaluation, of a single degree
+or of a series, is Clenshaw's backward three-term recurrence.  The short
+connection formulas against parameter-shifted polynomials, at finite degree
+and in the Mehler-Heine limit, share one triangular solve.
 """
 
 import math
@@ -55,28 +57,28 @@ class JacobiSeries:
 
 
 def jacobi_eval(n, params, x):
-    """P_n at x (scalar or array), by forward three-term recurrence."""
+    """P_n at x (scalar or array): Clenshaw on the unit coefficient vector e_n."""
     n = int(n)
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = kernels.jacobi_batch(n, params.a, params.b, arr)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    return clenshaw_eval(JacobiSeries(params, unit), x)
+
+
+@lru_cache(maxsize=None)
+def _log_d(n, k, a, b):
+    # log of the k-th derivative of P_n at 1; caller guarantees 0 <= k <= n
+    if k == 0:
+        return log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0)
+    return (-k * math.log(2.0)
+            + log_gamma(n + a + b + k + 1.0) - log_gamma(n + a + b + 1.0)
+            + log_gamma(n + a + 1.0) - log_gamma(n - k + 1.0) - log_gamma(a + k + 1.0))
 
 
 def value_at_one(n, alpha):
     """P_n(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))."""
-    n = int(n)
-    a = float(alpha)
-    return math.exp(log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0))
-
-
-@lru_cache(maxsize=None)
-def _log_deriv_at_one(n, k, a, b):
-    # log of the k-th derivative of P_n at 1; caller guarantees 1 <= k <= n
-    return (-k * math.log(2.0)
-            + log_gamma(n + a + b + k + 1.0) - log_gamma(n + a + b + 1.0)
-            + log_gamma(n + a + 1.0) - log_gamma(n - k + 1.0) - log_gamma(a + k + 1.0))
+    return math.exp(_log_d(int(n), 0, float(alpha), 0.0))
 
 
 def deriv_at_one(n, k, params):
@@ -85,11 +87,24 @@ def deriv_at_one(n, k, params):
     k = int(k)
     if n < 0 or k < 0:
         raise ValueError("degree and order must be nonnegative")
-    if k > n:
-        return 0.0
-    if k == 0:
-        return value_at_one(n, params.a)
-    return math.exp(_log_deriv_at_one(n, k, params.a, params.b))
+    return 0.0 if k > n else math.exp(_log_d(n, k, params.a, params.b))
+
+
+def solve_connection(rhs, entry, size):
+    """Forward substitution of sum_{i<=k} C(k,i) (-1)^i i! entry(i, k) b_i = rhs(k)
+    for b_0..b_{size-1}; the lower-triangular system of a short connection
+    formula against (1-x)^i P_{n-i}^{(alpha+2i, beta)} and of its limit."""
+    b = np.empty(size)
+    for k in range(size):
+        acc = rhs(k)
+        sign = 1.0
+        fact = 1.0
+        for i in range(k):
+            acc -= b[i] * math.comb(k, i) * sign * fact * entry(i, k)
+            sign = -sign
+            fact *= i + 1.0
+        b[k] = acc / (sign * fact * entry(k, k))
+    return b
 
 
 @lru_cache(maxsize=None)

@@ -64,27 +64,6 @@ def clenshaw_batch(c, A, B, C, x):
 
 
 # ---------------------------------------------------------------------------
-# Forward recurrence for a single polynomial at many points
-# ---------------------------------------------------------------------------
-
-def _forward_numpy(n, A, B, C, x):
-    if n == 0:
-        return np.ones_like(x)
-    pm1 = np.ones_like(x)
-    p = A[0] * x + B[0]
-    for i in range(1, n):
-        p, pm1 = (A[i] * x + B[i]) * p - C[i] * pm1, p
-    return p
-
-
-def jacobi_batch(n, alpha, beta, x):
-    """Values of the degree-n Jacobi polynomial at every point of ``x``."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    A, B, C = jacobi_recurrence(max(n, 1), float(alpha), float(beta))
-    return _forward_numpy(n, A, B, C, x)
-
-
-# ---------------------------------------------------------------------------
 # Safeguarded Newton/bisection refinement of sign-change brackets
 # ---------------------------------------------------------------------------
 

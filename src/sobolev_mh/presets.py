@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from . import golden
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .jacobi import JacobiParams
@@ -26,13 +27,6 @@ SETUPS = {
                           gamma=Fraction(61, 5))),
 }
 
-_TABLE_EXPERIMENT = {
-    "table1": "supercritical", "table2": "supercritical",
-    "table3": "subcritical", "table4": "subcritical",
-    "table5": "critical-small-mass", "table6": "critical-small-mass",
-    "table7": "critical-big-mass", "table8": "critical-big-mass",
-}
-
 _FIGURES = {
     "figure-supercritical": "supercritical",
     "figure-subcritical": "subcritical",
@@ -45,13 +39,13 @@ FIGURE_DEGREES = (150, 500)
 
 
 def preset_names():
-    return sorted(_TABLE_EXPERIMENT) + sorted(_FIGURES) + sorted(SETUPS)
+    return sorted(golden.TABLES) + sorted(_FIGURES) + sorted(SETUPS)
 
 
 def get_preset(name):
     """Resolve a preset name to an ExperimentConfig."""
-    if name in _TABLE_EXPERIMENT:
-        exp = _TABLE_EXPERIMENT[name]
+    if name in golden.TABLES:
+        exp = golden.TABLES[name].experiment
         return ExperimentConfig(id=name, job="tables", setup=SETUPS[exp],
                                 degrees=TABLE_DEGREES, zero_count=4)
     if name in _FIGURES:

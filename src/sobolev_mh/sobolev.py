@@ -19,13 +19,13 @@ from .errors import MissingMassError
 from .jacobi import (
     JacobiParams,
     JacobiSeries,
-    _log_deriv_at_one,
+    _log_d,
     _log_norm2,
     deriv_at_one,
     jacobi_eval,
     norm2,
+    solve_connection,
 )
-from .special_functions import log_gamma
 
 
 class MassKind(enum.Enum):
@@ -117,16 +117,8 @@ def _kernel_sum(n, j, k, a, b):
     comp = 0.0
     lo = max(j, k)
     for i in range(lo, n + 1):
-        if j == 0:
-            ldj = (log_gamma(i + a + 1.0) - log_gamma(i + 1.0) - log_gamma(a + 1.0))
-        else:
-            ldj = _log_deriv_at_one(i, j, a, b)
-        if k == j:
-            ldk = ldj
-        elif k == 0:
-            ldk = (log_gamma(i + a + 1.0) - log_gamma(i + 1.0) - log_gamma(a + 1.0))
-        else:
-            ldk = _log_deriv_at_one(i, k, a, b)
+        ldj = _log_d(i, j, a, b)
+        ldk = ldj if k == j else _log_d(i, k, a, b)
         lh, factor = _log_norm2(i, a, b)
         term = math.exp(ldj + ldk - lh) / factor
         y = term - comp
@@ -173,10 +165,8 @@ def sobolev_polynomial(setup, n):
     cn = _mass_coefficient(setup, n)
     if cn != 0.0:
         for i in range(j, n):
-            ld = (_log_deriv_at_one(i, j, p.a, p.b) if j > 0
-                  else log_gamma(i + p.a + 1.0) - log_gamma(i + 1.0) - log_gamma(p.a + 1.0))
             lh, factor = _log_norm2(i, p.a, p.b)
-            coeffs[i] = -cn * math.exp(ld - lh) / factor
+            coeffs[i] = -cn * math.exp(_log_d(i, j, p.a, p.b) - lh) / factor
     return JacobiSeries(p, coeffs)
 
 
@@ -242,13 +232,6 @@ def sobolev_norm2(setup, n):
 # short connection formula against parameter-shifted Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-def _log_d(n, k, a, b):
-    # log of the k-th derivative at 1 for arbitrary (a, b); k <= n required
-    if k == 0:
-        return log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0)
-    return _log_deriv_at_one(n, k, a, b)
-
-
 def connection_coeffs(setup, n):
     """Coefficients b_0(n)..b_{j+1}(n) writing the Sobolev polynomial as
     sum_i b_i(n) (1-x)^i P_{n-i} with weight exponent alpha+2i.
@@ -261,20 +244,12 @@ def connection_coeffs(setup, n):
     if n < j + 1:
         raise ValueError(f"connection formula needs n >= {j + 1}, got {n}")
     p = setup.params
-    out = np.empty(j + 2)
-    for k in range(j + 2):
-        acc = deriv_ratio(setup, n, k)
-        ldk = _log_d(n, k, p.a, p.b)
-        sign = 1.0
-        fact = 1.0
-        for i in range(k):
-            A_ik = math.exp(_log_d(n - i, k - i, p.a + 2.0 * i, p.b) - ldk)
-            acc -= out[i] * math.comb(k, i) * sign * fact * A_ik
-            sign = -sign
-            fact *= i + 1.0
-        A_kk = math.exp(_log_d(n - k, 0, p.a + 2.0 * k, p.b) - ldk)
-        out[k] = acc / (sign * fact * A_kk)
-    return out
+
+    def entry(i, k):
+        # (k-i)-th derivative at 1 of P_{n-i}^{(a+2i, b)} over the k-th of P_n
+        return math.exp(_log_d(n - i, k - i, p.a + 2.0 * i, p.b) - _log_d(n, k, p.a, p.b))
+
+    return solve_connection(lambda k: deriv_ratio(setup, n, k), entry, j + 2)
 
 
 def connection_reconstruct(setup, n, x):

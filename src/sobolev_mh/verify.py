@@ -25,6 +25,7 @@ from .zeros import convergence_table, sobolev_zeros
 
 FAST_DEGREES = (150, 250)
 FULL_DEGREES = (150, 250, 500)
+MH_SUP_DEGREES = (300, 600)  # the sup error must shrink from the first to the second
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,13 @@ def _zero_shape_worst(setup, degrees):
     return worst
 
 
-def _mh_sup_errors(setup, n_pair=(300, 600)):
+def _mh_sup_errors(setup):
     lf = limit_coeffs(setup)
     xs = np.linspace(0.0, 18.0, 200)
     ref = limit_eval(lf, xs)
     sups = []
     a = setup.params.a
-    for n in n_pair:
+    for n in MH_SUP_DEGREES:
         series = sobolev_polynomial(setup, n)
         args = 1.0 - xs * xs / (2.0 * n * n)
         vals = math.exp(-a * math.log(n)) * clenshaw_eval(series, args)
@@ -192,7 +193,5 @@ def run_properties():
     return out
 
 
-def run(only=None, fast=True, tolerances=None, with_properties=True):
-    cells = run_golden(only=only, fast=fast, tolerances=tolerances)
-    props = run_properties() if with_properties else []
-    return VerifyResult(cells=cells, properties=props)
+def run(only=None, fast=True):
+    return VerifyResult(cells=run_golden(only=only, fast=fast), properties=run_properties())

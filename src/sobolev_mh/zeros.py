@@ -26,7 +26,7 @@ from .asymptotics import (
     limit_eval,
 )
 from .errors import NumericError
-from .jacobi import derivative_series
+from .jacobi import clenshaw_eval, derivative_series
 from .sobolev import sobolev_polynomial
 from .special_functions import _mcmahon_guess, bessel_j, bessel_j_zero
 
@@ -172,8 +172,6 @@ def largest_zero_location(setup, n):
     [-1, 1], the largest zero exceeds 1 exactly when the polynomial is
     negative at 1.
     """
-    from .jacobi import clenshaw_eval
-
     series = sobolev_polynomial(setup, int(n))
     q1 = clenshaw_eval(series, 1.0)
     return ZeroLocation.OUTSIDE if q1 < 0.0 else ZeroLocation.INSIDE

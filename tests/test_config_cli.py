@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sobolev_mh import verify as verify_mod
+from sobolev_mh import golden, verify as verify_mod
 from sobolev_mh.cli import main
 from sobolev_mh.config import parse_config, serialize_config
 from sobolev_mh.errors import ConfigError
-from sobolev_mh.presets import get_preset, preset_names
+from sobolev_mh.presets import SETUPS, get_preset, preset_names
 
 LEGENDRE_CFG = """\
 [experiment]
@@ -86,6 +86,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             get_preset("table9")
 
+    def test_table_presets_follow_the_golden_tables(self):
+        assert preset_names() == [
+            "table1", "table2", "table3", "table4", "table5", "table6", "table7",
+            "table8", "figure-critical-bigM", "figure-critical-smallM",
+            "figure-subcritical", "figure-supercritical", "critical-big-mass",
+            "critical-small-mass", "subcritical", "supercritical"]
+        for tid, table in golden.TABLES.items():
+            assert get_preset(tid).setup is SETUPS[table.experiment]
+
 
 def _write_cfg(tmp_path, text):
     p = tmp_path / "exp.cfg"
@@ -161,6 +170,20 @@ class TestCliOtherJobs:
         assert svg.startswith("<svg ")
         assert svg.count("<polyline") == 3
         assert "n=40" in svg and "n=80" in svg and "legendre-check" in svg
+
+    @pytest.mark.parametrize("job,names", [
+        ("tables", ["legendre-check_tables.csv"]),
+        ("zeros", ["legendre-check_zeros.csv"]),
+        ("limits", ["legendre-check_limits.csv"]),
+        ("mh-curve", ["legendre-check_curve.csv", "legendre-check_curve.svg"]),
+    ])
+    def test_default_output_names(self, tmp_path, capsys, job, names):
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace("csv = legendre.csv",
+                                                        "csv = none\nsvg = none"))
+        out = tmp_path / "out"
+        assert main([job, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / n) for n in names]
+        assert sorted(p.name for p in out.iterdir()) == names
 
     def test_curve_sup_distance_shrinks_with_degree(self, supercritical):
         # scaled curves approach the limit curve as the degree grows

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, roots_jacobi
 
 from sobolev_mh.jacobi import (
     JacobiParams,
@@ -41,6 +41,17 @@ class TestEval:
         p = JacobiParams(*ab)
         assert jacobi_eval(n, p, 1.0) == pytest.approx(value_at_one(n, ab[0]),
                                                        rel=1e-12)
+
+
+# the presets' (alpha, beta) pairs, Legendre and a large pair
+@pytest.mark.parametrize("ab", [(3.0, 1.0), (3.0, -0.5), (-0.9, -0.9), (0.0, 0.0),
+                                (10.0, 5.0)])
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 60, 150, 500, 1000])
+def test_eval_matches_scipy_oracle(n, ab):
+    x = np.linspace(-1.0, 1.0, 2001)
+    ref = eval_jacobi(n, ab[0], ab[1], x)
+    got = jacobi_eval(n, JacobiParams(*ab), x)
+    assert np.max(np.abs(got - ref)) <= 2e-11 * np.max(np.abs(ref))
 
 
 class TestValueAtOne:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +262,17 @@ def test_convergence_table_validations(supercritical):
         convergence_table(supercritical, [], 4)
     with pytest.raises(ValueError):
         convergence_table(supercritical, [3], 4)
+
+
+def test_kernel_bench_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_kernels.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["clenshaw(5k", "pts)", "refine", "roots", "passes",
+                                "passes/root"]
+    assert lines[2].split() == ["bessel_j(1868", "pts)", "limit_zeros(6)"]
