@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the hot numpy kernels on the zero-extraction inner loop.
 
-Workload: a degree-500 series evaluated over a bracketing grid by
-Clenshaw, and safeguarded refinement of every sign-change bracket.
+Workload: a degree-500 series evaluated by Clenshaw over a fixed grid of
+about 5k points, and safeguarded refinement of every sign-change bracket of
+the grid ``sobolev_zeros`` uses.
 Besides the best-of-5 times it prints the Clenshaw passes of the refine
 (calls of the Clenshaw kernel, one for the value and one for the
 derivative per step) and how many of them one root takes part in on
@@ -23,7 +24,7 @@ from sobolev_mh.jacobi import derivative_series
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import sobolev_polynomial
 from sobolev_mh.special_functions import bessel_j, bessel_j_zero
-from sobolev_mh.zeros import limit_zeros
+from sobolev_mh.zeros import _bracket_grid, _brackets, limit_zeros
 
 
 def _timeit(fn, repeat=5):
@@ -67,13 +68,11 @@ def main():
         1.0 - np.arange(0.2, 300.0, 0.2) ** 2 / (2.0 * 500.0 ** 2),
     ]))
 
-    t_clen, vals = _timeit(lambda: kernels.clenshaw_batch(c, A, B, C, grid))
-    sgn = np.sign(vals)
-    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
-    lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
+    t_clen, _ = _timeit(lambda: kernels.clenshaw_batch(c, A, B, C, grid))
+    lo, hi, flo, fhi, _ = _brackets(c, A, B, C, _bracket_grid(setup, 500))
 
     def refine():
-        return kernels.refine_brackets(c, A, B, C, d.coeffs, Ad, Bd, Cd, lo, hi, flo)
+        return kernels.refine_brackets(c, A, B, C, d.coeffs, Ad, Bd, Cd, lo, hi, flo, fhi)
 
     t_ref, roots = _timeit(refine)
     passes, points = _count_clenshaw_passes(refine)

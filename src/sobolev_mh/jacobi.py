@@ -10,7 +10,7 @@ and in the Mehler-Heine limit, share one triangular solve.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,11 +29,12 @@ class JacobiParams:
         if not (self.alpha > -1 and self.beta > -1):
             raise ValueError(f"weight exponents must exceed -1: {self.alpha}, {self.beta}")
 
-    @property
+    # converted once per instance: the exponents may be exact Fractions
+    @cached_property
     def a(self):
         return float(self.alpha)
 
-    @property
+    @cached_property
     def b(self):
         return float(self.beta)
 

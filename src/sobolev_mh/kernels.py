@@ -7,7 +7,9 @@ degree-m series over k points costs m numpy operations on length-k arrays.
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method, ``_rtsafe``, which takes any function that
 returns values and derivatives on an array; the Bessel zeros and the
-limit-function zeros use it too.  A root is done once its Newton step is below
+limit-function zeros use it too.  Each bracket starts from its secant
+point, the zero of the chord through its two end values (the midpoint when
+that point is not strictly inside).  A root is done once its Newton step is below
 1e-15 relative to max(1, |x|), on an exact zero of the series, or when its
 bracket is at most 1e-13 wide.  A step falls back to bisection only when
 Newton would leave the bracket or fails to halve the step before the last
@@ -43,12 +45,21 @@ def jacobi_recurrence(m, alpha, beta):
 # ---------------------------------------------------------------------------
 
 def _clenshaw_numpy(c, A, B, C, x):
-    m = len(c) - 1
+    # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 in place on three
+    # rotating buffers: the same operations in the same order, no allocation
+    c, A, B, C = c.tolist(), A.tolist(), B.tolist(), C.tolist()
     u1 = np.zeros_like(x)
     u2 = np.zeros_like(x)
-    for k in range(m, 0, -1):
-        u1, u2 = c[k] + (A[k] * x + B[k]) * u1 - C[k + 1] * u2, u1
-    return c[0] + (A[0] * x + B[0]) * u1 - C[1] * u2
+    t = np.empty_like(x)
+    for k in range(len(c) - 1, -1, -1):
+        np.multiply(x, A[k], out=t)
+        t += B[k]
+        t *= u1
+        t += c[k]
+        u2 *= C[k + 1]
+        t -= u2
+        u1, u2, t = t, u1, u2
+    return u1
 
 
 def clenshaw_batch(c, A, B, C, x):
@@ -72,13 +83,17 @@ _STEP_RTOL = 1e-15  # Newton step, relative to max(1, |x|), at which a root is d
 _MAX_REFINE = 120
 
 
-def _rtsafe(fdf, lo, hi, flo):
-    """Converge every bracket [lo, hi] (sign change, f(lo) = flo) together;
-    ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``."""
+def _rtsafe(fdf, lo, hi, flo, fhi):
+    """Converge every bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
+    together; ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``."""
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
     pos = flo > 0.0
-    x = 0.5 * (lo + hi)
+    # start from the secant point of the bracket, or its midpoint when the
+    # secant point is not strictly inside (or not finite)
+    with np.errstate(all="ignore"):
+        x = lo - flo * (hi - lo) / (fhi - flo)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     # lengths of the last two steps; the first steps are measured on the bracket
     last = before = hi - lo
     for _ in range(_MAX_REFINE):
@@ -114,8 +129,9 @@ def _rtsafe(fdf, lo, hi, flo):
     return out
 
 
-def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
-    """Converge each bracket [lo, hi] (sign change, f(lo) = flo) to a root.
+def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi):
+    """Converge each bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
+    to a root, starting from its secant point.
 
     ``cq`` is the series f in the basis of the recurrence (Aq, Bq, Cq) and
     ``cd`` its derivative in the basis of (Ad, Bd, Cd).  Every bracket is
@@ -128,7 +144,7 @@ def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo):
     root is then its midpoint).
     """
     args = [np.ascontiguousarray(v, dtype=np.float64)
-            for v in (cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo)]
-    cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo = args
+            for v in (cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi)]
+    cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi = args
     return _rtsafe(lambda x: (_clenshaw_numpy(cq, Aq, Bq, Cq, x),
-                              _clenshaw_numpy(cd, Ad, Bd, Cd, x)), lo, hi, flo)
+                              _clenshaw_numpy(cd, Ad, Bd, Cd, x)), lo, hi, flo, fhi)

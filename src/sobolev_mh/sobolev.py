@@ -164,9 +164,10 @@ def sobolev_polynomial(setup, n):
     coeffs[n] = 1.0
     cn = _mass_coefficient(setup, n)
     if cn != 0.0:
+        a, b = p.a, p.b
         for i in range(j, n):
-            lh, factor = _log_norm2(i, p.a, p.b)
-            coeffs[i] = -cn * math.exp(_log_d(i, j, p.a, p.b) - lh) / factor
+            lh, factor = _log_norm2(i, a, b)
+            coeffs[i] = -cn * math.exp(_log_d(i, j, a, b) - lh) / factor
     return JacobiSeries(p, coeffs)
 
 

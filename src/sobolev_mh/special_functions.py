@@ -181,7 +181,7 @@ def _scan_brackets(nu, start, count):
         vals = bessel_j(nu, xs)
         idx = np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0))[:count]
         if len(idx) == count:
-            return xs[idx], xs[idx + 1], vals[idx]
+            return xs[idx], xs[idx + 1], vals[idx], vals[idx + 1]
         span *= 2.0
     raise RuntimeError(f"failed to bracket {count} zeros of J_{nu} past {start}")
 
@@ -212,7 +212,7 @@ def _extend_zero_cache(nu, zeros, i):
     # in one safeguarded Newton pass
     prev = zeros[-1] if zeros else 0.0
     ks = np.arange(len(zeros) + 1, i + 1)
-    lo, hi, flo = np.full((3, len(ks)), np.nan)
+    lo, hi, flo, fhi = np.full((4, len(ks)), np.nan)
     far = np.flatnonzero(ks >= 8)
     # McMahon's guess is well inside the correct interoscillation gap
     g = _mcmahon_guess(nu, ks[far])
@@ -221,23 +221,24 @@ def _extend_zero_cache(nu, zeros, i):
             break
         a = np.maximum(g - w, prev + 0.3)
         b = g + w
-        fa = bessel_j(nu, a)
-        found = ((fa > 0.0) != (bessel_j(nu, b) > 0.0)) & (a < b)
-        lo[far[found]], hi[far[found]], flo[far[found]] = a[found], b[found], fa[found]
+        fa, fb = bessel_j(nu, a), bessel_j(nu, b)
+        found = ((fa > 0.0) != (fb > 0.0)) & (a < b)
+        sel = far[found]
+        lo[sel], hi[sel], flo[sel], fhi[sel] = a[found], b[found], fa[found], fb[found]
         far, g = far[~found], g[~found]
     # the rest (k < 8, or no McMahon bracket) from one scan past prev
     rest = np.flatnonzero(np.isnan(lo))
     if len(rest):
-        slo, shi, sflo = _scan_brackets(nu, prev + 0.35 if prev > 0.0 else 1e-7,
-                                        rest[-1] + 1)
-        lo[rest], hi[rest], flo[rest] = slo[rest], shi[rest], sflo[rest]
+        scan = _scan_brackets(nu, prev + 0.35 if prev > 0.0 else 1e-7, rest[-1] + 1)
+        for out, s in zip((lo, hi, flo, fhi), scan):
+            out[rest] = s[rest]
 
     def fdf(x):
         # J'_nu via the order-raising relation; avoids orders below -1
         jx = bessel_j(nu, x)
         return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
 
-    z = _rtsafe(fdf, lo, hi, flo)
+    z = _rtsafe(fdf, lo, hi, flo, fhi)
     if np.any(np.diff(np.concatenate([[prev], z])) <= 0.0):
         raise RuntimeError(f"zero ordering broke for J_{nu} at index {len(zeros) + 1}")
     zeros.extend(float(v) for v in z)

@@ -1,10 +1,14 @@
 """Zero extraction for the Sobolev polynomials and their limit functions.
 
 All n zeros are real and simple, cluster quadratically at the right
-endpoint and at most one sits above 1, so the bracketing grid has three
-parts: a cosine-spaced sweep of [-1, 1], a fine endpoint grid in the
-scaled variable u (x = 1 - u^2/(2n^2)) where consecutive clustered zeros
-are O(1) apart, and an expanding search on (1, 1.5] for the exterior zero.
+endpoint and at most one sits above 1.  The bracketing grid is sized to
+them: a cosine sweep of [-1, 1] with four points per zero gap in theta, and
+a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
+0.2, over the first j + 16 Bessel zeros of order alpha, where the scaled
+zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
+negative is there a zero above 1, and the ladder 1 + 1e-9 2^(k/8),
+k = 0..359, evaluated with overflow ignored, brackets it at its first sign
+change.
 
 The zeros of the limit function are bracketed by a 0.02 scan from 1e-3
 and refined all together by the same safeguarded Newton method
@@ -58,34 +62,62 @@ class ZeroLocation(enum.Enum):
 
 def _bracket_grid(setup, n):
     p = setup.params
-    theta = np.linspace(0.0, math.pi, 10 * (n + 1))
-    coarse = np.cos(theta)
-    i_peak = max(1, math.ceil(n / 4))
-    # McMahon's expansion gives the far zeros to ~4 decimals, plenty for a
-    # grid bound, without computing every Bessel zero below it
+    # four cosine points per zero gap in theta over [-1, 1]
+    coarse = np.cos(np.linspace(0.0, math.pi, 4 * (n + 1)))
+    # only the first j + 2 or so scaled zeros stray from the Bessel zeros of
+    # order alpha, so the u-grid covers the first j + 16 of those; McMahon's
+    # expansion gives the far ones to ~4 decimals, plenty for a grid bound
+    i_peak = max(1, min(math.ceil(n / 4), int(setup.j) + 16))
     j_peak = (_mcmahon_guess(p.a, i_peak) if i_peak >= 8
               else bessel_j_zero(p.a, i_peak))
     u_max = min(2.0 * j_peak, 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
     fine = 1.0 - u * u / (2.0 * n * n)
-    outside = 1.0 + np.logspace(-9.0, math.log10(0.5), 160)
-    grid = np.unique(np.concatenate([coarse, fine, outside]))
-    return grid
+    return np.unique(np.concatenate([coarse, fine]))
+
+
+# offsets above the top of the grid where the exterior zero is looked for:
+# 1e-9 up to 3e4, eight points per octave, so that its bracket is narrow
+# enough for the secant start
+_LADDER = 1e-9 * 2.0 ** (np.arange(360) / 8.0)
+
+
+def _brackets(c, A, B, C, grid):
+    """Sign-change brackets (lo, hi, f(lo), f(hi)) of the series ``c`` on the
+    ascending ``grid``, and the grid points where it is exactly zero.
+
+    With a positive leading coefficient a zero lies above the grid exactly
+    when the series is negative at its top; that zero is bracketed by the
+    first sign change of the ladder top + 1e-9 2^(k/8), k = 0..359, up to
+    the ladder's first value that is not finite.
+    """
+    vals = kernels.clenshaw_batch(c, A, B, C, grid)
+    if vals[-1] < 0.0:
+        ladder = grid[-1] + _LADDER
+        with np.errstate(over="ignore", invalid="ignore"):
+            lv = kernels.clenshaw_batch(c, A, B, C, ladder)
+        finite = np.logical_and.accumulate(np.isfinite(lv))
+        up = np.flatnonzero(finite & (lv >= 0.0))
+        if len(up) == 0:
+            raise NumericError(
+                f"degree {len(c) - 1}: negative at x = {grid[-1]:.17g} and no sign "
+                f"change found above it")
+        grid = np.concatenate([grid, ladder[:up[0] + 1]])
+        vals = np.concatenate([vals, lv[:up[0] + 1]])
+    sgn = np.sign(vals)
+    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
+    return grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], grid[vals == 0.0]
 
 
 def _roots_from_grid(series, grid):
     A, B, C = kernels.jacobi_recurrence(len(series.coeffs) + 1, series.params.a,
                                         series.params.b)
-    vals = kernels.clenshaw_batch(series.coeffs, A, B, C, grid)
-    exact = grid[vals == 0.0]
-    sgn = np.sign(vals)
-    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
+    lo, hi, flo, fhi, exact = _brackets(series.coeffs, A, B, C, grid)
     d = derivative_series(series)
     Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a,
                                            d.params.b)
     roots = kernels.refine_brackets(series.coeffs, A, B, C,
-                                    d.coeffs, Ad, Bd, Cd,
-                                    grid[idx], grid[idx + 1], vals[idx])
+                                    d.coeffs, Ad, Bd, Cd, lo, hi, flo, fhi)
     if len(exact):
         roots = np.concatenate([roots, exact])
     return np.sort(roots)
@@ -162,7 +194,8 @@ def limit_zeros(lf, count):
     else:
         raise NumericError(f"found only {len(idx)} limit-function zeros below {U}")
     idx = idx[:count]
-    return kernels._rtsafe(lambda x: _limit_fdf(lf, x), xs[idx], xs[idx + 1], vals[idx])
+    return kernels._rtsafe(lambda x: _limit_fdf(lf, x), xs[idx], xs[idx + 1],
+                           vals[idx], vals[idx + 1])
 
 
 def largest_zero_location(setup, n):

@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from sobolev_mh.special_functions import bessel_j_zero
 from sobolev_mh.zeros import (
     ZeroLocation,
     _bracket_grid,
+    _brackets,
     convergence_table,
     largest_zero_location,
     limit_zeros,
@@ -74,16 +77,15 @@ def test_zeros_match_comrade_eigenvalues(tabulated_setup, n):
     assert np.max(np.abs(zs.zeros - ref.real)) <= 1e-12
 
 
-def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
-    n = 250
-    series = sobolev_polynomial(tabulated_setup, n)
+def _counted_refine(setup, n, monkeypatch):
+    """Refine the brackets of the degree-n zero grid; return the roots, the
+    brackets and the Clenshaw passes the refine took."""
+    series = sobolev_polynomial(setup, n)
     d = derivative_series(series)
     A, B, C = kernels.jacobi_recurrence(n + 2, series.params.a, series.params.b)
     Ad, Bd, Cd = kernels.jacobi_recurrence(n + 1, d.params.a, d.params.b)
-    grid = _bracket_grid(tabulated_setup, n)
-    vals = kernels.clenshaw_batch(series.coeffs, A, B, C, grid)
-    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-    assert len(idx) == n
+    lo, hi, flo, fhi, exact = _brackets(series.coeffs, A, B, C, _bracket_grid(setup, n))
+    assert len(lo) == n and len(exact) == 0
 
     passes = 0
     clenshaw = kernels._clenshaw_numpy
@@ -95,10 +97,78 @@ def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
 
     monkeypatch.setattr(kernels, "_clenshaw_numpy", counted)
     roots = kernels.refine_brackets(series.coeffs, A, B, C, d.coeffs, Ad, Bd, Cd,
-                                    grid[idx], grid[idx + 1], vals[idx])
+                                    lo, hi, flo, fhi)
+    monkeypatch.undo()
+    return roots, lo, hi, passes
+
+
+def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
+    n = 250
+    roots, lo, hi, passes = _counted_refine(tabulated_setup, n, monkeypatch)
     assert passes <= 16
-    assert np.all((grid[idx] <= roots) & (roots <= grid[idx + 1]))
+    assert np.all((lo <= roots) & (roots <= hi))
     assert np.max(np.abs(roots[::-1] - sobolev_zeros(tabulated_setup, n).zeros)) == 0.0
+
+
+def test_secant_start_refines_in_few_passes(tabulated_setup, monkeypatch):
+    # the secant point of a grid bracket is close enough for Newton to
+    # converge in 3-4 steps, two Clenshaw passes each
+    _, _, _, passes = _counted_refine(tabulated_setup, 250, monkeypatch)
+    assert passes <= 10
+
+
+def test_far_exterior_zero_is_found():
+    # the largest zero sits near 2.943, far above 1 at this low degree
+    setup = SobolevSetup(JacobiParams(10, 0), 6, MassSequence(MassKind.PLAIN, 1e6, 1))
+    series = sobolev_polynomial(setup, 10)
+    ref = _comrade_zeros(series)
+    assert np.max(np.abs(ref.imag)) <= 1e-12
+    zs = sobolev_zeros(setup, 10)
+    assert len(zs.zeros) == 10 and zs.outside_count == 1
+    assert 2.9 < zs.zeros[0] < 3.0
+    assert np.max(np.abs(zs.zeros - ref.real)) <= 1e-12
+
+
+def test_exterior_ladder_without_sign_change_is_a_numeric_error():
+    # -1 - P_1: negative at 1 and decreasing above it
+    c = np.array([-1.0, -1.0])
+    A, B, C = kernels.jacobi_recurrence(3, 0.0, 0.0)
+    with pytest.raises(NumericError, match="no sign change"):
+        _brackets(c, A, B, C, np.linspace(-1.0, 1.0, 5))
+
+
+SWEEP_ALPHA = (-0.9, 0, 3, 10)
+
+
+@pytest.mark.parametrize("n", [10, 60, 300])
+@pytest.mark.parametrize("alpha", SWEEP_ALPHA)
+def test_robustness_sweep(alpha, n, monkeypatch):
+    """Every case of the sweep beta in {-1/2, 5}, j in {0, 1, 3, 6}, gamma in
+    {1, 12, 40}, M in {1, 1e6} finds n zeros, at most one above 1, on the
+    first grid pass and without a RuntimeWarning."""
+    import sobolev_mh.zeros as zmod
+
+    passes = 0
+    found = zmod._roots_from_grid
+
+    def counted(series, grid):
+        nonlocal passes
+        passes += 1
+        return found(series, grid)
+
+    monkeypatch.setattr(zmod, "_roots_from_grid", counted)
+    for beta, j, gamma, M in itertools.product((-0.5, 5), (0, 1, 3, 6), (1, 12, 40),
+                                               (1, 1e6)):
+        case = f"alpha={alpha} beta={beta} j={j} gamma={gamma} M={M} n={n}"
+        setup = SobolevSetup(JacobiParams(alpha, beta), j,
+                             MassSequence(MassKind.PLAIN, M, gamma))
+        passes = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            zs = sobolev_zeros(setup, n)
+        assert len(zs.zeros) == n, case
+        assert zs.outside_count <= 1, case
+        assert passes == 1, case
 
 
 def test_legendre_zeros_match_companion_oracle():
