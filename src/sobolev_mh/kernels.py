@@ -3,6 +3,11 @@
 One backend, vectorized numpy: each kernel loops in Python over the
 recurrence index and in numpy over the evaluation points, so one pass of a
 degree-m series over k points costs m numpy operations on length-k arrays.
+``clenshaw_batch`` also takes a stack of series, one per row of a 2-d
+coefficient array, each with its own row of recurrence coefficients (say
+the shifted polynomials P^{(alpha+2i, beta)} of a connection formula):
+the same m steps then act on (rows, k) arrays, and row r of the result is
+bit for bit what a 1-d call on row r gives.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method, ``_rtsafe``, which takes any function that
@@ -24,19 +29,22 @@ def jacobi_recurrence(m, alpha, beta):
 
     The i = 0 entries are the two-term start (C_0 = 0); they stay valid at
     alpha + beta = -1 and alpha + beta = 0 where the generic expressions
-    have removable singularities.
+    have removable singularities.  A column of exponents ``alpha`` (shape
+    (rows, 1)) gives arrays of shape (rows, m), one recurrence per row.
     """
-    A = np.empty(max(m, 1))
-    B = np.empty(max(m, 1))
-    C = np.zeros(max(m, 1))
-    A[0] = 0.5 * (alpha + beta + 2.0)
-    B[0] = 0.5 * (alpha - beta)
-    for i in range(1, m):
-        s = 2.0 * i + alpha + beta
-        den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
-        A[i] = (s + 1.0) * (s + 2.0) / den
-        B[i] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
-        C[i] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    i = np.arange(1.0, m)
+    s = 2.0 * i + alpha + beta
+    den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
+    shape = alpha.shape[:-1] + (max(m, 1),)
+    A = np.empty(shape)
+    B = np.empty(shape)
+    C = np.zeros(shape)
+    A[..., :1] = 0.5 * (alpha + beta + 2.0)
+    B[..., :1] = 0.5 * (alpha - beta)
+    A[..., 1:] = (s + 1.0) * (s + 2.0) / den
+    B[..., 1:] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
+    C[..., 1:] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
     return A, B, C
 
 
@@ -46,11 +54,23 @@ def jacobi_recurrence(m, alpha, beta):
 
 def _clenshaw_numpy(c, A, B, C, x):
     # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 in place on three
-    # rotating buffers: the same operations in the same order, no allocation
-    c, A, B, C = c.tolist(), A.tolist(), B.tolist(), C.tolist()
-    u1 = np.zeros_like(x)
-    u2 = np.zeros_like(x)
-    t = np.empty_like(x)
+    # rotating buffers: the same operations in the same order, no allocation.
+    # A 1-d series steps with Python floats, a stack with (rows, 1, ...)
+    # columns that broadcast against x.
+    rows = c.shape[:-1]
+    if c.ndim == 1:
+        c, A, B, C = c.tolist(), A.tolist(), B.tolist(), C.tolist()
+    else:
+        c, A, B, C = (list(np.ascontiguousarray(v.T).reshape(v.T.shape + (1,) * x.ndim))
+                      for v in (c, A, B, C))
+    # in-place ufuncs on one element cost 2-3 times what they cost on two,
+    # so a lone point is evaluated twice
+    lone = x.shape == (1,)
+    if lone:
+        x = np.repeat(x, 2)
+    u1 = np.zeros(rows + x.shape)
+    u2 = np.zeros_like(u1)
+    t = np.empty_like(u1)
     for k in range(len(c) - 1, -1, -1):
         np.multiply(x, A[k], out=t)
         t += B[k]
@@ -59,17 +79,24 @@ def _clenshaw_numpy(c, A, B, C, x):
         u2 *= C[k + 1]
         t -= u2
         u1, u2, t = t, u1, u2
-    return u1
+    return u1[..., :1] if lone else u1
 
 
 def clenshaw_batch(c, A, B, C, x):
-    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence)."""
+    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence).
+
+    ``c`` may also be a stack of series of shape (rows, K), with ``A``,
+    ``B``, ``C`` of shape (rows, >= K + 1) (``jacobi_recurrence`` with a
+    column of exponents): the result has shape (rows,) + x.shape, and row
+    r is bit for bit the 1-d evaluation of ``c[r]`` with recurrence row r.
+    A series of lower degree is a row padded with zeros.
+    """
     c = np.ascontiguousarray(c, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if len(c) == 1:
-        return np.full_like(x, c[0])
+    if c.shape[-1] == 1:
+        return np.full(c.shape[:-1] + x.shape, c.reshape(c.shape[:-1] + (1,) * x.ndim))
     # recurrence arrays must extend one index past the series degree
-    if len(A) < len(c) + 1:
+    if np.shape(A)[-1] < c.shape[-1] + 1:
         raise ValueError("recurrence arrays must extend past the series degree")
     return _clenshaw_numpy(c, A, B, C, x)
 

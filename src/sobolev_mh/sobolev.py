@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import MissingMassError
 from .jacobi import (
     JacobiParams,
@@ -22,7 +23,6 @@ from .jacobi import (
     _log_d,
     _log_norm2,
     deriv_at_one,
-    jacobi_eval,
     norm2,
     solve_connection,
 )
@@ -262,8 +262,14 @@ def connection_reconstruct(setup, n, x):
     b = connection_coeffs(setup, n)
     p = setup.params
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    # row i is P_{n-i}^{(alpha+2i, beta)}: the unit series e_{n-i} in the
+    # basis of exponent alpha + 2i, all j + 2 evaluated in one stacked pass
+    rows = np.arange(j + 2)
+    unit = np.zeros((j + 2, n + 1))
+    unit[rows, n - rows] = 1.0
+    A, B, C = kernels.jacobi_recurrence(n + 2, p.a + 2.0 * rows[:, None], p.b)
+    shifted = kernels.clenshaw_batch(unit, A, B, C, arr)
     total = np.zeros_like(arr)
     for i in range(j + 2):
-        shifted = JacobiParams(p.a + 2.0 * i, p.b)
-        total += b[i] * (1.0 - arr) ** i * jacobi_eval(n - i, shifted, arr)
+        total += b[i] * (1.0 - arr) ** i * shifted[i]
     return float(total[0]) if np.isscalar(x) or np.ndim(x) == 0 else total

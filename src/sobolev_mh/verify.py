@@ -47,9 +47,9 @@ class VerifyResult:
                 and all(p.status == "pass" for p in self.properties))
 
 
-def _experiment_cells(exp_name, degrees, tolerances):
+def _experiment_cells(exp_name, degrees, tolerances, zero_sets):
     setup = SETUPS[exp_name]
-    tb = convergence_table(setup, degrees, 4)
+    tb = convergence_table(setup, degrees, 4, zero_sets.setdefault(exp_name, {}))
     raw_id, scaled_id = golden.EXPERIMENT_TABLES[exp_name]
     raw_rows = {row.n: row.raw for row in tb.rows}
     scaled_rows = {row.n: row.scaled for row in tb.rows}
@@ -59,8 +59,12 @@ def _experiment_cells(exp_name, degrees, tolerances):
     return cells
 
 
-def run_golden(only=None, fast=True, tolerances=None):
-    """Recompute and compare the embedded tables; returns CellReports."""
+def run_golden(only=None, fast=True, tolerances=None, zero_sets=None):
+    """Recompute and compare the embedded tables; returns CellReports.
+
+    ``zero_sets`` maps a preset name to a dict from degree to ZeroSet; it
+    lends the sets it holds and receives the ones extracted here.
+    """
     if only is not None:
         if only not in golden.TABLES:
             raise ConfigError(f"--only expects one of {sorted(golden.TABLES)}, "
@@ -69,9 +73,10 @@ def run_golden(only=None, fast=True, tolerances=None):
     else:
         experiments = sorted(golden.EXPERIMENT_TABLES)
     degrees = FAST_DEGREES if fast else FULL_DEGREES
+    zero_sets = {} if zero_sets is None else zero_sets
     cells = []
     for exp in experiments:
-        cells.extend(_experiment_cells(exp, degrees, tolerances))
+        cells.extend(_experiment_cells(exp, degrees, tolerances, zero_sets))
     if only is not None:
         cells = [c for c in cells if c.table == only]
     return cells
@@ -84,15 +89,16 @@ def run_golden(only=None, fast=True, tolerances=None):
 def _orthogonality_worst(setup, n_max):
     worst = 0.0
     j = int(setup.j)
+    # <Q_n, P_m> = c_m h_m + M_n Q_n^(j)(1) P_m^(j)(1) for every m < n at once
+    h = np.array([norm2(m, setup.params) for m in range(n_max)])
+    d = np.array([deriv_at_one(m, j, setup.params) for m in range(n_max)])
     for n in range(1, n_max + 1):
         series = sobolev_polynomial(setup, n)
         qj1 = q_deriv_at_one(setup, n, j)
         Mn = mass(setup.mass, n)
         hn = norm2(n, setup.params)
-        for m in range(n):
-            ip = (series.coeffs[m] * norm2(m, setup.params)
-                  + Mn * qj1 * deriv_at_one(m, j, setup.params))
-            worst = max(worst, abs(ip) / hn)
+        ip = series.coeffs[:n] * h[:n] + Mn * qj1 * d[:n]
+        worst = max(worst, float(np.max(np.abs(ip))) / hn)
     return worst
 
 
@@ -107,11 +113,13 @@ def _reconstruct_worst(setup, n_max):
     return worst
 
 
-def _zero_shape_worst(setup, degrees):
+def _zero_shape_worst(setup, degrees, zero_sets):
     """Largest violation over: count == n, simplicity, at most one outside."""
     worst = 0.0
     for n in degrees:
-        zs = sobolev_zeros(setup, n)
+        if n not in zero_sets:
+            zero_sets[n] = sobolev_zeros(setup, n)
+        zs = zero_sets[n]
         if len(zs.zeros) != n:
             return math.inf
         if zs.outside_count > 1:
@@ -144,8 +152,12 @@ def _mh_sup_errors(setup):
     return sups
 
 
-def run_properties():
-    """Structural checks that need no table values at all."""
+def run_properties(zero_sets=None):
+    """Structural checks that need no table values at all.
+
+    ``zero_sets`` is as for ``run_golden``.
+    """
+    zero_sets = {} if zero_sets is None else zero_sets
     out = []
 
     worst = max(_orthogonality_worst(s, 100) for s in SETUPS.values())
@@ -156,7 +168,8 @@ def run_properties():
     out.append(PropertyReport("connection-reconstruct(n<=60)", worst, 1e-8,
                               "pass" if worst <= 1e-8 else "fail"))
 
-    worst = max(_zero_shape_worst(s, (25, 50, 150, 250)) for s in SETUPS.values())
+    worst = max(_zero_shape_worst(s, (25, 50, 150, 250), zero_sets.setdefault(name, {}))
+                for name, s in SETUPS.items())
     out.append(PropertyReport("zero-count-simplicity(n<=250)", worst, 1e-12,
                               "pass" if worst < math.inf else "fail"))
 
@@ -194,4 +207,8 @@ def run_properties():
 
 
 def run(only=None, fast=True):
-    return VerifyResult(cells=run_golden(only=only, fast=fast), properties=run_properties())
+    # each (preset, degree) zero set is extracted once: the zero-shape
+    # property reuses the sets of the golden tables
+    zero_sets = {}
+    return VerifyResult(cells=run_golden(only=only, fast=fast, zero_sets=zero_sets),
+                        properties=run_properties(zero_sets))

@@ -73,7 +73,13 @@ def _bracket_grid(setup, n):
     u_max = min(2.0 * j_peak, 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
     fine = 1.0 - u * u / (2.0 * n * n)
-    return np.unique(np.concatenate([coarse, fine]))
+    return _sorted_distinct(np.concatenate([coarse, fine]))
+
+
+def _sorted_distinct(v):
+    # np.unique would import numpy.ma on first use, ~5 ms of every job
+    v = np.sort(v)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 # offsets above the top of the grid where the exterior zero is looked for:
@@ -133,7 +139,7 @@ def sobolev_zeros(setup, n):
     roots = _roots_from_grid(series, grid)
     if len(roots) != n:
         # one densification pass before giving up
-        dense = np.unique(np.concatenate([
+        dense = _sorted_distinct(np.concatenate([
             grid,
             0.5 * (grid[:-1] + grid[1:]),
             0.75 * grid[:-1] + 0.25 * grid[1:],
@@ -242,8 +248,12 @@ def regime_excluded_count(setup):
     return 0
 
 
-def convergence_table(setup, ns, count):
-    """Scaled-zero rows for each degree plus the limit row."""
+def convergence_table(setup, ns, count, zero_sets=None):
+    """Scaled-zero rows for each degree plus the limit row.
+
+    ``zero_sets``, a dict from degree to the ZeroSet of ``setup``, lends the
+    sets it holds and receives the ones extracted here.
+    """
     count = int(count)
     ns = sorted(int(v) for v in ns)
     if not ns:
@@ -251,9 +261,12 @@ def convergence_table(setup, ns, count):
     if count > ns[0]:
         raise ValueError("count exceeds the smallest degree")
     excluded = regime_excluded_count(setup)
+    zero_sets = {} if zero_sets is None else zero_sets
     rows = []
     for n in ns:
-        zs = sobolev_zeros(setup, n)
+        if n not in zero_sets:
+            zero_sets[n] = sobolev_zeros(setup, n)
+        zs = zero_sets[n]
         raw = zs.zeros[:count].copy()
         sel = zs.zeros[excluded:count]
         sel = sel[sel <= 1.0]

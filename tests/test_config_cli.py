@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sobolev_mh import golden, verify as verify_mod
+from sobolev_mh import golden, verify as verify_mod, zeros as zeros_mod
 from sobolev_mh.cli import main
 from sobolev_mh.config import parse_config, serialize_config
 from sobolev_mh.errors import ConfigError
@@ -265,6 +265,21 @@ class TestVerifyJob:
                                                       ("table2", "limit")}
         result = verify_mod.VerifyResult(cells=cells, properties=[])
         assert not result.ok
+
+    def test_each_zero_set_is_extracted_once(self, monkeypatch):
+        # 4 presets x (25, 50, 150, 250): the zero-shape property reuses the
+        # degree-150/250 sets of the golden tables
+        calls = []
+        inner = zeros_mod.sobolev_zeros
+
+        def counted(setup, n):
+            calls.append((setup, n))
+            return inner(setup, n)
+
+        monkeypatch.setattr(zeros_mod, "sobolev_zeros", counted)
+        monkeypatch.setattr(verify_mod, "sobolev_zeros", counted)
+        assert verify_mod.run().ok
+        assert len(calls) == len(set(calls)) == 16
 
     def test_cli_verify_only_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--only", "table2", "--out", str(tmp_path)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
+from sobolev_mh import kernels
 from sobolev_mh.jacobi import (
     JacobiParams,
     JacobiSeries,
@@ -16,6 +17,8 @@ from sobolev_mh.jacobi import (
     scaled_eval,
     value_at_one,
 )
+from sobolev_mh.presets import SETUPS
+from sobolev_mh.sobolev import sobolev_polynomial
 from sobolev_mh.special_functions import bessel_j, log_gamma
 
 P01 = JacobiParams(0.0, 0.0)
@@ -178,6 +181,69 @@ class TestClenshaw:
         ref = _naive_series_eval(s, x)
         scale = max(1.0, abs(ref))
         assert abs(clenshaw_eval(s, x) - ref) <= 1e-10 * scale
+
+
+def _recurrence_loop(m, alpha, beta):
+    # reference: the recurrence coefficients one index at a time
+    A = np.empty(max(m, 1))
+    B = np.empty(max(m, 1))
+    C = np.zeros(max(m, 1))
+    A[0] = 0.5 * (alpha + beta + 2.0)
+    B[0] = 0.5 * (alpha - beta)
+    for i in range(1, m):
+        s = 2.0 * i + alpha + beta
+        den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
+        A[i] = (s + 1.0) * (s + 2.0) / den
+        B[i] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
+        C[i] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
+    return A, B, C
+
+
+class TestStackedClenshaw:
+    ALPHAS = np.array([-0.9, 0.0, 3.0, 7.5])
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (-0.5, -0.5), (0.5, -0.5),
+                                    (-0.9, -0.9), (3.0, -0.5), (10.0, 5.0)])
+    @pytest.mark.parametrize("m", [0, 1, 2, 61, 5002])
+    def test_recurrence_column_equals_scalar_calls(self, ab, m):
+        a, b = ab
+        stacked = kernels.jacobi_recurrence(m, a + 2.0 * np.arange(4)[:, None], b)
+        for r in range(4):
+            scalar = kernels.jacobi_recurrence(m, a + 2.0 * r, b)
+            for s_arr, v, ref in zip(stacked, scalar, _recurrence_loop(m, a + 2.0 * r, b)):
+                np.testing.assert_array_equal(v, ref)
+                np.testing.assert_array_equal(s_arr[r], v)
+
+    @pytest.mark.parametrize("points", [1, 1000])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_stack_equals_rows(self, points, above):
+        # rows of degree 60, 30 (zero-padded) and 0, plus one degree-60 row
+        rng = np.random.default_rng(points)
+        c = rng.standard_normal((4, 61))
+        c[1, 31:] = 0.0
+        c[2, 1:] = 0.0
+        A, B, C = kernels.jacobi_recurrence(62, self.ALPHAS[:, None], 0.5)
+        # above 1 the degree-60 rows overflow from x ~ 1e5 on
+        x = (np.geomspace(1e8, 1.0, points) if above
+             else np.linspace(-1.0, 1.0, points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels.clenshaw_batch(c, A, B, C, x)
+            assert got.shape == (4, points)
+            for r, a in enumerate(self.ALPHAS):
+                deg = int(np.flatnonzero(c[r])[-1])
+                Ar, Br, Cr = kernels.jacobi_recurrence(deg + 2, a, 0.5)
+                one = kernels.clenshaw_batch(c[r, :deg + 1], Ar, Br, Cr, x)
+                np.testing.assert_array_equal(got[r], one)
+        if above:
+            assert not np.all(np.isfinite(got))  # the overflow reached the rows
+
+    def test_lone_point_equals_pair(self):
+        s = sobolev_polynomial(SETUPS["subcritical"], 500)
+        A, B, C = kernels.jacobi_recurrence(502, s.params.a, s.params.b)
+        pair = kernels.clenshaw_batch(s.coeffs, A, B, C, np.array([0.37, -0.2]))
+        lone = kernels.clenshaw_batch(s.coeffs, A, B, C, np.array([0.37]))
+        assert lone.shape == (1,)
+        assert lone[0] == pair[0]
 
 
 @given(st.integers(0, 100), st.floats(-1.0, 1.0),

@@ -222,6 +222,19 @@ class TestConnection:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - rebuilt)) <= 1e-8 * scale
 
+    def test_reconstruct_equals_per_polynomial_sum(self, tabulated_setup):
+        # the stacked pass gives bit for bit the sum of separate evaluations
+        s = tabulated_setup
+        p = s.params
+        grid = np.linspace(-1.0, 1.0, 21)
+        for n in (s.j + 1, 10, 60, 150):
+            b = connection_coeffs(s, n)
+            expect = np.zeros_like(grid)
+            for i in range(s.j + 2):
+                shifted = JacobiParams(p.a + 2.0 * i, p.b)
+                expect += b[i] * (1.0 - grid) ** i * jacobi_eval(n - i, shifted, grid)
+            np.testing.assert_array_equal(connection_reconstruct(s, n, grid), expect)
+
     def test_reconstruct_at_one(self, critical_big):
         n = 40
         b = connection_coeffs(critical_big, n)

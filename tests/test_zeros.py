@@ -334,6 +334,23 @@ def test_convergence_table_validations(supercritical):
         convergence_table(supercritical, [3], 4)
 
 
+def test_zeros_do_not_import_numpy_ma():
+    # numpy.ma costs ~5 ms to import; np.unique would pull it in
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from sobolev_mh.presets import SETUPS\n"
+            "from sobolev_mh.zeros import sobolev_zeros\n"
+            "sobolev_zeros(SETUPS['subcritical'], 150)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_kernel_bench_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
