@@ -27,7 +27,7 @@ from sobolev_mh.asymptotics import limit_coeffs
 from sobolev_mh.jacobi import JacobiParams, derivative_series, jacobi_eval
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import sobolev_polynomial
-from sobolev_mh.special_functions import bessel_j, bessel_j_zero
+from sobolev_mh.special_functions import _mcmahon_guess, bessel_j
 from sobolev_mh.zeros import _bracket_grid, _brackets, limit_zeros
 
 
@@ -88,7 +88,7 @@ def main():
 
     lf = limit_coeffs(setup)
     # the scan grid of limit_zeros(lf, 6)
-    xs = np.arange(1e-3, bessel_j_zero(lf.alpha, 6 + len(lf.b)) + 5.0, 0.02)
+    xs = np.arange(1e-3, _mcmahon_guess(lf.alpha, 6 + len(lf.b)) + 5.0, 0.02)
     t_bes, _ = _timeit(lambda: bessel_j(lf.alpha, xs))
     t_lz, _ = _timeit(lambda: limit_zeros(lf, 6))
     print(f"{f'bessel_j({len(xs)} pts)':>18s} {'limit_zeros(6)':>17s}")

@@ -6,6 +6,7 @@ per line, ``#`` comments.  Rational fields (alpha, beta, gamma, M) accept
 regime comparisons survive the round trip.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +40,17 @@ class ExperimentConfig:
             raise ConfigError("degrees must be nonempty")
         if list(self.degrees) != sorted(self.degrees):
             raise ConfigError("degrees must be sorted ascending")
+        if self.degrees[0] < 1:
+            raise ConfigError(f"degrees must be >= 1, got {self.degrees[0]}")
         if self.zero_count < 1:
             raise ConfigError("zero_count must be >= 1")
+        if self.job == "tables" and self.zero_count > self.degrees[0]:
+            raise ConfigError(f"zero_count {self.zero_count} exceeds the smallest "
+                              f"degree {self.degrees[0]}")
+        if self.points < 2:
+            raise ConfigError(f"points must be >= 2, got {self.points}")
+        if not (math.isfinite(self.x_max) and self.x_max > 0.0):
+            raise ConfigError(f"x_max must be finite and > 0, got {self.x_max}")
 
 
 def _parse_fraction(raw, key, lineno):

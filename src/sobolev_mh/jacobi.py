@@ -51,11 +51,6 @@ class JacobiSeries:
         if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
             raise ValueError("coefficients must be a nonempty 1-d array")
 
-    @property
-    def degree(self):
-        nz = np.flatnonzero(self.coeffs)
-        return int(nz[-1]) if len(nz) else 0
-
 
 def jacobi_eval(n, params, x):
     """P_n at x (scalar or array): Clenshaw on the unit coefficient vector e_n."""

@@ -11,8 +11,9 @@ bit for bit what a 1-d call on row r gives.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method, ``_rtsafe``, which takes any function that
-returns values and derivatives on an array; the Bessel zeros and the
-limit-function zeros use it too.  Each bracket starts from its secant
+returns values and derivatives on an array.  ``_scan_zeros`` finds the
+first zeros of such a function on (0, inf) with it: the Bessel zeros and
+the limit-function zeros.  Each bracket starts from its secant
 point, the zero of the chord through its two end values (the midpoint when
 that point is not strictly inside).  A root is done once its Newton step is below
 1e-15 relative to max(1, |x|), on an exact zero of the series, or when its
@@ -22,6 +23,8 @@ one (``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
+
+from .errors import NumericError
 
 
 def jacobi_recurrence(m, alpha, beta):
@@ -154,6 +157,20 @@ def _rtsafe(fdf, lo, hi, flo, fhi):
         x = nxt
     out[idx] = 0.5 * (lo + hi)
     return out
+
+
+def _scan_zeros(f, fdf, step, top, count):
+    """The first ``count`` positive zeros of f: its sign changes on the grid
+    1e-3 + k step below ``top`` (doubled at most four times until it holds
+    them), refined together by ``_rtsafe`` with ``fdf``; f acts on arrays."""
+    for _ in range(5):
+        xs = np.arange(1e-3, top, step)
+        vals = f(xs)
+        idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:count]
+        if len(idx) == count:
+            return _rtsafe(fdf, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
+        top *= 2.0
+    raise NumericError(f"found only {len(idx)} of {count} zeros below {top / 2.0:g}")
 
 
 def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi):

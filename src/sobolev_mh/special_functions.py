@@ -5,17 +5,17 @@ real order nu > -1 over a whole array of arguments at once, by the
 ascending series (extended-precision accumulation) below the crossover
 max(14, 1.4|nu|) and above it by the large-argument expansion (DLMF 10.17)
 at a base order in [-1/2, 1/2) followed by the upward order recurrence
-(DLMF 10.6); and Bessel zeros, bracketed by McMahon's expansion from the
-8th zero on and by a vector scan below it, then refined together by the
-safeguarded Newton method shared with the polynomial zeros.
+(DLMF 10.6); and Bessel zeros, found by the scan-and-refine shared with
+the limit-function zeros (``kernels._scan_zeros``: a 0.18 grid up to a
+little past McMahon's estimate of the last zero wanted, then the
+safeguarded Newton method shared with the polynomial zeros).
 """
 
 import math
-import threading as _threading
 
 import numpy as np
 
-from .kernels import _rtsafe
+from .kernels import _scan_zeros
 
 # Lanczos g = 7, 9 terms; relative error of exp(log_gamma) is a few ulp for
 # real positive arguments.
@@ -172,22 +172,7 @@ def _mcmahon_guess(nu, i):
             - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
 
 
-def _scan_brackets(nu, start, count):
-    # the first `count` sign changes of J_nu past `start`, on a 0.18 grid
-    # whose span doubles until it holds them
-    span = (count + 0.5 * abs(nu) + 2.0) * math.pi
-    for _ in range(4):
-        xs = start + 0.18 * np.arange(math.ceil(span / 0.18) + 1)
-        vals = bessel_j(nu, xs)
-        idx = np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0))[:count]
-        if len(idx) == count:
-            return xs[idx], xs[idx + 1], vals[idx], vals[idx + 1]
-        span *= 2.0
-    raise RuntimeError(f"failed to bracket {count} zeros of J_{nu} past {start}")
-
-
-_zero_cache = {}
-_zero_cache_lock = _threading.Lock()
+_zero_cache = {}  # order -> its first zeros, as many as asked for so far
 
 
 def bessel_j_zero(nu, i):
@@ -198,47 +183,14 @@ def bessel_j_zero(nu, i):
     i = int(i)
     if i < 1:
         raise ValueError(f"zero index must be >= 1, got {i}")
-    zeros = _zero_cache.setdefault(nu, [])
-    if len(zeros) >= i:
-        return zeros[i - 1]
-    with _zero_cache_lock:
-        if len(zeros) < i:
-            _extend_zero_cache(nu, zeros, i)
-        return zeros[i - 1]
+    zeros = _zero_cache.get(nu, ())
+    if len(zeros) < i:
 
+        def fdf(x):
+            # J'_nu via the order-raising relation; avoids orders below -1
+            jx = bessel_j(nu, x)
+            return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
 
-def _extend_zero_cache(nu, zeros, i):
-    # bracket every missing zero k = len(zeros)+1 .. i, then refine them all
-    # in one safeguarded Newton pass
-    prev = zeros[-1] if zeros else 0.0
-    ks = np.arange(len(zeros) + 1, i + 1)
-    lo, hi, flo, fhi = np.full((4, len(ks)), np.nan)
-    far = np.flatnonzero(ks >= 8)
-    # McMahon's guess is well inside the correct interoscillation gap
-    g = _mcmahon_guess(nu, ks[far])
-    for w in (0.6, 1.2, 2.0):
-        if len(far) == 0:
-            break
-        a = np.maximum(g - w, prev + 0.3)
-        b = g + w
-        fa, fb = bessel_j(nu, a), bessel_j(nu, b)
-        found = ((fa > 0.0) != (fb > 0.0)) & (a < b)
-        sel = far[found]
-        lo[sel], hi[sel], flo[sel], fhi[sel] = a[found], b[found], fa[found], fb[found]
-        far, g = far[~found], g[~found]
-    # the rest (k < 8, or no McMahon bracket) from one scan past prev
-    rest = np.flatnonzero(np.isnan(lo))
-    if len(rest):
-        scan = _scan_brackets(nu, prev + 0.35 if prev > 0.0 else 1e-7, rest[-1] + 1)
-        for out, s in zip((lo, hi, flo, fhi), scan):
-            out[rest] = s[rest]
-
-    def fdf(x):
-        # J'_nu via the order-raising relation; avoids orders below -1
-        jx = bessel_j(nu, x)
-        return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
-
-    z = _rtsafe(fdf, lo, hi, flo, fhi)
-    if np.any(np.diff(np.concatenate([[prev], z])) <= 0.0):
-        raise RuntimeError(f"zero ordering broke for J_{nu} at index {len(zeros) + 1}")
-    zeros.extend(float(v) for v in z)
+        zeros = _zero_cache[nu] = _scan_zeros(
+            lambda x: bessel_j(nu, x), fdf, 0.18, _mcmahon_guess(nu, i) + 5.0, i).tolist()
+    return zeros[i - 1]

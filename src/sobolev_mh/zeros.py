@@ -10,9 +10,11 @@ negative is there a zero above 1, and the ladder 1 + 1e-9 2^(k/8),
 k = 0..359, evaluated with overflow ignored, brackets it at its first sign
 change.
 
-The zeros of the limit function are bracketed by a 0.02 scan from 1e-3
-and refined all together by the same safeguarded Newton method
-(``kernels._rtsafe``) on its value and derivative.
+The first `count` zeros of the limit function (b_0, ..., b_{j+1}) are
+bracketed by a 0.02 scan from 1e-3 up to McMahon's estimate of the
+(count + j + 2)-th Bessel zero of order alpha plus 5, and refined all
+together by the same safeguarded Newton method on its value and derivative
+(``kernels._scan_zeros``, shared with the Bessel zeros).
 """
 
 import enum
@@ -32,7 +34,7 @@ from .asymptotics import (
 from .errors import NumericError
 from .jacobi import clenshaw_eval, derivative_series
 from .sobolev import sobolev_polynomial
-from .special_functions import _mcmahon_guess, bessel_j, bessel_j_zero
+from .special_functions import _mcmahon_guess, bessel_j
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,9 @@ def _bracket_grid(setup, n):
     coarse = np.cos(np.linspace(0.0, math.pi, 4 * (n + 1)))
     # only the first j + 2 or so scaled zeros stray from the Bessel zeros of
     # order alpha, so the u-grid covers the first j + 16 of those; McMahon's
-    # expansion gives the far ones to ~4 decimals, plenty for a grid bound
+    # expansion is plenty for a grid bound (the far zeros to ~4 decimals)
     i_peak = max(1, min(math.ceil(n / 4), int(setup.j) + 16))
-    j_peak = (_mcmahon_guess(p.a, i_peak) if i_peak >= 8
-              else bessel_j_zero(p.a, i_peak))
-    u_max = min(2.0 * j_peak, 2.0 * n)
+    u_max = min(2.0 * _mcmahon_guess(p.a, i_peak), 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
     fine = 1.0 - u * u / (2.0 * n * n)
     return _sorted_distinct(np.concatenate([coarse, fine]))
@@ -188,20 +188,9 @@ def limit_zeros(lf, count):
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    j_top = len(lf.b) - 2
-    U = bessel_j_zero(lf.alpha, count + j_top + 2) + 5.0
-    for _ in range(5):
-        xs = np.arange(1e-3, U, 0.02)
-        vals = limit_eval(lf, xs)
-        idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        if len(idx) >= count:
-            break
-        U *= 2.0
-    else:
-        raise NumericError(f"found only {len(idx)} limit-function zeros below {U}")
-    idx = idx[:count]
-    return kernels._rtsafe(lambda x: _limit_fdf(lf, x), xs[idx], xs[idx + 1],
-                           vals[idx], vals[idx + 1])
+    top = _mcmahon_guess(lf.alpha, count + len(lf.b)) + 5.0
+    return kernels._scan_zeros(lambda x: limit_eval(lf, x), lambda x: _limit_fdf(lf, x),
+                               0.02, top, count)
 
 
 def largest_zero_location(setup, n):

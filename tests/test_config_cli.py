@@ -229,6 +229,23 @@ class TestCliErrors:
         assert err == "config error: custom mass sequence has no entry for n=10\n"
 
 
+    @pytest.mark.parametrize("job, old, new", [
+        ("zeros", "degrees = 10", "degrees = 0"),
+        ("tables", "degrees = 10", "degrees = 0"),
+        ("mh-curve", "degrees = 10", "degrees = 0"),
+        ("tables", "degrees = 10", "degrees = 3 10"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\npoints = 0"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = nan"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = inf"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = -1"),
+    ])
+    def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
+        assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+
     def test_numeric_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
         from sobolev_mh import zeros
 

@@ -183,12 +183,19 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("nu", [5, 13])
     def test_against_scipy_integer_orders(self, nu):
-        # the 25th zero first: one call brackets the scanned zeros (k < 8)
-        # and the McMahon windows (k >= 8) together
+        # the 25th zero first: one scan brackets and refines all 25 together,
+        # and the lower indices then come from the cache
         z25 = bessel_j_zero(float(nu), 25)
         zs = np.array([bessel_j_zero(float(nu), k) for k in range(1, 26)])
         assert zs[-1] == z25
         assert np.max(np.abs(zs - jn_zeros(nu, 25))) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [30, 40])
+    def test_first_zero_at_high_order(self, nu):
+        # J_nu underflows to 0 near the origin; a zero value is no sign change
+        z = bessel_j_zero(float(nu), 1)
+        assert z > nu
+        assert abs(z - jn_zeros(nu, 1)[0]) <= 1e-4
 
     def test_domain(self):
         with pytest.raises(ValueError):
