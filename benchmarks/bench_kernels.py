@@ -10,10 +10,10 @@ derivative per step) and how many of them one root takes part in on
 average.  A second line times the limit layer of the
 same preset: one array Bessel evaluation of order alpha over the grid that
 ``limit_zeros`` scans for six zeros, and ``limit_zeros(count=6)`` itself.
-A third line times the evaluation behind a degree-60 connection check
-(verify's connection-reconstruct property): the j + 2 shifted polynomials
-P_{60-i}^{(alpha+2i, beta)} on 21 points, in one stacked Clenshaw pass
-against one ``jacobi_eval`` pass per polynomial.
+A third line times the preset's whole connection-reconstruct check of
+``verify`` (degrees j + 1 .. 60 on 21 points, series builds included): one
+series stack with one stacked Clenshaw pass for the series and one for the
+connection formula, against a direct and a connection pass per degree.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -24,10 +24,11 @@ import numpy as np
 
 from sobolev_mh import kernels
 from sobolev_mh.asymptotics import limit_coeffs
-from sobolev_mh.jacobi import JacobiParams, derivative_series, jacobi_eval
+from sobolev_mh.jacobi import clenshaw_eval, derivative_series
 from sobolev_mh.presets import SETUPS
-from sobolev_mh.sobolev import sobolev_polynomial
+from sobolev_mh.sobolev import connection_reconstruct, sobolev_polynomial
 from sobolev_mh.special_functions import _mcmahon_guess, bessel_j
+from sobolev_mh.verify import _reconstruct_worst, _series_stack
 from sobolev_mh.zeros import _bracket_grid, _brackets, limit_zeros
 
 
@@ -94,23 +95,25 @@ def main():
     print(f"{f'bessel_j({len(xs)} pts)':>18s} {'limit_zeros(6)':>17s}")
     print(f"{t_bes * 1e3:15.2f} ms {t_lz * 1e3:14.2f} ms")
 
-    n, a, b = 60, series.params.a, series.params.b
+    n_max = 60
     x21 = np.linspace(-1.0, 1.0, 21)
-    rows = np.arange(setup.j + 2)
-    unit = np.zeros((len(rows), n + 1))
-    unit[rows, n - rows] = 1.0
 
     def stacked():
-        A, B, C = kernels.jacobi_recurrence(n + 2, a + 2.0 * rows[:, None], b)
-        return kernels.clenshaw_batch(unit, A, B, C, x21)
+        return _reconstruct_worst(setup, _series_stack(setup, n_max), n_max)
 
-    def per_row():
-        return [jacobi_eval(n - i, JacobiParams(a + 2.0 * i, b), x21) for i in rows]
+    def per_degree():
+        worst = 0.0
+        for n in range(setup.j + 1, n_max + 1):
+            direct = clenshaw_eval(sobolev_polynomial(setup, n), x21)
+            rebuilt = connection_reconstruct(setup, n, x21)
+            scale = np.max(np.abs(direct))
+            worst = max(worst, float(np.max(np.abs(direct - rebuilt))) / scale)
+        return worst
 
-    t_stack, _ = _timeit(stacked, repeat=50)
-    t_rows, _ = _timeit(per_row, repeat=50)
-    print(f"{f'connection(n={n}, {len(rows)} rows)':>25s} {'stacked':>10s} {'per-row':>10s}")
-    print(f"{'':25s} {t_stack * 1e3:7.3f} ms {t_rows * 1e3:7.3f} ms")
+    t_stack, _ = _timeit(stacked, repeat=20)
+    t_deg, _ = _timeit(per_degree, repeat=20)
+    print(f"{f'reconstruct(n<={n_max})':>18s} {'stacked':>10s} {'per-degree':>11s}")
+    print(f"{'':18s} {t_stack * 1e3:7.2f} ms {t_deg * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

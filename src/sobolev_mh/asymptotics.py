@@ -97,7 +97,7 @@ def limit_coeffs(setup):
     j = int(setup.j)
     regime = classify_regime(setup.mass.gamma, p.alpha, j)
     a = p.a
-    if regime.kind is RegimeKind.SUPERCRITICAL or float(setup.mass.M) == 0.0:
+    if regime.kind is RegimeKind.SUPERCRITICAL or setup.mass.m == 0.0:
         # zero mass limit means the perturbation decays faster than n^-gamma,
         # so the classical limit applies whatever the nominal regime
         b = np.zeros(j + 2)
@@ -107,7 +107,7 @@ def limit_coeffs(setup):
         def lead(i):
             return (i - j) / (a + j + i + 1.0)
     else:
-        M = float(setup.mass.M)
+        M = setup.mass.m
         if M < 0.0:
             raise ValueError("critical regime requires a nonnegative mass limit")
         G = math.exp(2.0 * log_gamma(a + j + 1.0)

@@ -51,6 +51,10 @@ class ExperimentConfig:
             raise ConfigError(f"points must be >= 2, got {self.points}")
         if not (math.isfinite(self.x_max) and self.x_max > 0.0):
             raise ConfigError(f"x_max must be finite and > 0, got {self.x_max}")
+        # 1 - x^2/(2n^2) stays in [-1, 1] only up to x = 2n
+        if self.job == "mh-curve" and self.x_max > 2.0 * self.degrees[0]:
+            raise ConfigError(f"x_max {self.x_max:g} exceeds 2 * min(degrees) = "
+                              f"{2 * self.degrees[0]}")
 
 
 def _parse_fraction(raw, key, lineno):

@@ -3,11 +3,12 @@
 One backend, vectorized numpy: each kernel loops in Python over the
 recurrence index and in numpy over the evaluation points, so one pass of a
 degree-m series over k points costs m numpy operations on length-k arrays.
-``clenshaw_batch`` also takes a stack of series, one per row of a 2-d
-coefficient array, each with its own row of recurrence coefficients (say
-the shifted polynomials P^{(alpha+2i, beta)} of a connection formula):
-the same m steps then act on (rows, k) arrays, and row r of the result is
-bit for bit what a 1-d call on row r gives.
+``clenshaw_batch`` also takes a stack of series, one per row of a
+coefficient array, each with its own row of recurrence coefficients or
+sharing one by broadcasting (say the shifted polynomials
+P^{(alpha+2i, beta)} of a connection formula at many degrees): the same m
+steps then act on (rows, k) arrays, and each row of the result is bit for
+bit what a 1-d call on that row gives.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method, ``_rtsafe``, which takes any function that
@@ -58,13 +59,14 @@ def jacobi_recurrence(m, alpha, beta):
 def _clenshaw_numpy(c, A, B, C, x):
     # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 in place on three
     # rotating buffers: the same operations in the same order, no allocation.
-    # A 1-d series steps with Python floats, a stack with (rows, 1, ...)
-    # columns that broadcast against x.
+    # A 1-d series steps with Python floats, a stack with rows + (1, ...)
+    # slices that broadcast against each other and against x.
     rows = c.shape[:-1]
     if c.ndim == 1:
         c, A, B, C = c.tolist(), A.tolist(), B.tolist(), C.tolist()
     else:
-        c, A, B, C = (list(np.ascontiguousarray(v.T).reshape(v.T.shape + (1,) * x.ndim))
+        c, A, B, C = (list(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(
+                          v.shape[-1:] + v.shape[:-1] + (1,) * x.ndim))
                       for v in (c, A, B, C))
     # in-place ufuncs on one element cost 2-3 times what they cost on two,
     # so a lone point is evaluated twice
@@ -88,11 +90,13 @@ def _clenshaw_numpy(c, A, B, C, x):
 def clenshaw_batch(c, A, B, C, x):
     """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence).
 
-    ``c`` may also be a stack of series of shape (rows, K), with ``A``,
-    ``B``, ``C`` of shape (rows, >= K + 1) (``jacobi_recurrence`` with a
-    column of exponents): the result has shape (rows,) + x.shape, and row
-    r is bit for bit the 1-d evaluation of ``c[r]`` with recurrence row r.
-    A series of lower degree is a row padded with zeros.
+    ``c`` may also be a stack of series of shape rows + (K,), with ``A``,
+    ``B``, ``C`` of a shape (..., >= K + 1) whose leading axes broadcast
+    against rows (``jacobi_recurrence`` with a column of exponents gives one
+    recurrence per row; a 1-d recurrence serves every row): the result has
+    shape rows + x.shape, and each row is bit for bit the 1-d evaluation of
+    its series with its recurrence.  A series of lower degree is a row
+    padded with zeros.
     """
     c = np.ascontiguousarray(c, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,10 +51,19 @@ class MassSequence:
     custom_values: dict | None = None
 
     def __post_init__(self):
-        if float(self.M) < 0:
+        if self.m < 0:
             raise ValueError("mass limit must be nonnegative")
         if self.kind is MassKind.CUSTOM and self.custom_values is None:
             raise ValueError("custom mass sequence requires a value table")
+
+    # converted once per instance: the parameters may be exact Fractions
+    @cached_property
+    def m(self):
+        return float(self.M)
+
+    @cached_property
+    def g(self):
+        return float(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -84,16 +93,16 @@ def mass(seq, n):
     n = int(n)
     if n < 1:
         raise ValueError("mass sequence is defined for n >= 1")
-    g = float(seq.gamma)
+    g = seq.g
     if seq.kind is MassKind.PLAIN:
-        return float(seq.M) * n ** (-g)
+        return seq.m * n ** (-g)
     if seq.kind is MassKind.EXP_RATIONAL:
         # 3 e^n / ((6 e^n + 4) n^g), rewritten overflow-free
         return 3.0 / ((6.0 + 4.0 * math.exp(-n)) * n ** g)
     if seq.kind is MassKind.LOG_RATIO:
         return (7.0 * math.log(n + 1.0) + 5.0) / ((3.0 + 2.0 * math.log(n)) * n ** g)
     if seq.kind is MassKind.POLY_RATIO:
-        return float(seq.M) * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
+        return seq.m * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
     if seq.kind is MassKind.CUSTOM:
         try:
             return float(seq.custom_values[n])
@@ -254,22 +263,31 @@ def connection_coeffs(setup, n):
 
 
 def connection_reconstruct(setup, n, x):
-    """Evaluate the short connection combination at x (scalar or array)."""
-    n = int(n)
+    """Evaluate the short connection combination at x (scalar or array).
+
+    ``n`` is one degree or a sequence of degrees; a sequence gives an array
+    of shape (len(n),) + x.shape, row k for degree n[k].  Every shifted
+    polynomial P_{n_k-i}^{(alpha+2i, beta)}, i <= j + 1, is one row of a
+    single stacked Clenshaw pass; a lone degree is the one-row case.
+    """
+    degrees = np.atleast_1d(np.asarray(n, dtype=np.int64))
     j = int(setup.j)
-    if n < j + 1:
-        raise ValueError(f"connection formula needs n >= {j + 1}, got {n}")
-    b = connection_coeffs(setup, n)
+    if degrees.min() < j + 1:
+        raise ValueError(f"connection formula needs n >= {j + 1}, got {degrees.min()}")
     p = setup.params
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    # row i is P_{n-i}^{(alpha+2i, beta)}: the unit series e_{n-i} in the
-    # basis of exponent alpha + 2i, all j + 2 evaluated in one stacked pass
-    rows = np.arange(j + 2)
-    unit = np.zeros((j + 2, n + 1))
-    unit[rows, n - rows] = 1.0
-    A, B, C = kernels.jacobi_recurrence(n + 2, p.a + 2.0 * rows[:, None], p.b)
+    b = np.array([connection_coeffs(setup, d) for d in degrees])
+    b = b.T.reshape((j + 2, len(degrees)) + (1,) * arr.ndim)
+    # row (k, i) is P_{n_k-i}^{(alpha+2i, beta)}: the unit series e_{n_k-i},
+    # zero-padded to the largest degree, in the basis of exponent alpha + 2i,
+    # whose recurrence row i every degree shares
+    i = np.arange(j + 2)
+    unit = np.zeros((len(degrees), j + 2, degrees.max() + 1))
+    unit[np.arange(len(degrees))[:, None], i, degrees[:, None] - i] = 1.0
+    A, B, C = kernels.jacobi_recurrence(degrees.max() + 2, p.a + 2.0 * i[:, None], p.b)
     shifted = kernels.clenshaw_batch(unit, A, B, C, arr)
-    total = np.zeros_like(arr)
-    for i in range(j + 2):
-        total += b[i] * (1.0 - arr) ** i * shifted[i]
-    return float(total[0]) if np.isscalar(x) or np.ndim(x) == 0 else total
+    total = np.zeros((len(degrees),) + arr.shape)
+    for k in range(j + 2):
+        total += b[k] * (1.0 - arr) ** k * shifted[:, k]
+    total = total.reshape(np.shape(n) + np.shape(x))
+    return float(total) if total.ndim == 0 else total

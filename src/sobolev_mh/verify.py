@@ -1,5 +1,11 @@
 """Golden-table comparison plus the structural property battery.
 
+The finite-degree properties work on stacks, not per-degree loops: each
+preset's Sobolev series of degree <= 100 are built once into a zero-padded
+coefficient stack.  The orthogonality check reads its rows; the
+connection-reconstruct check evaluates rows j+1..60 in one stacked
+Clenshaw pass and the connection formula at all those degrees in another.
+
 Pure computation: callers (the CLI, the test suite) decide how to render
 or persist the reports.
 """
@@ -9,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import golden
+from . import golden, kernels
 from .asymptotics import limit_coeffs, limit_eval, order_zero_identity_residual
 from .errors import ConfigError
 from .jacobi import clenshaw_eval, deriv_at_one, norm2
@@ -86,31 +92,41 @@ def run_golden(only=None, fast=True, tolerances=None, zero_sets=None):
 # property battery
 # ---------------------------------------------------------------------------
 
-def _orthogonality_worst(setup, n_max):
+def _series_stack(setup, n_max):
+    """Jacobi coefficients of the Sobolev polynomials of degree 0..n_max,
+    row n for degree n, zero-padded to n_max + 1 columns."""
+    stack = np.zeros((n_max + 1, n_max + 1))
+    stack[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        stack[n, :n + 1] = sobolev_polynomial(setup, n).coeffs
+    return stack
+
+
+def _orthogonality_worst(setup, stack):
     worst = 0.0
     j = int(setup.j)
+    n_max = len(stack) - 1
     # <Q_n, P_m> = c_m h_m + M_n Q_n^(j)(1) P_m^(j)(1) for every m < n at once
-    h = np.array([norm2(m, setup.params) for m in range(n_max)])
+    h = np.array([norm2(m, setup.params) for m in range(n_max + 1)])
     d = np.array([deriv_at_one(m, j, setup.params) for m in range(n_max)])
     for n in range(1, n_max + 1):
-        series = sobolev_polynomial(setup, n)
         qj1 = q_deriv_at_one(setup, n, j)
         Mn = mass(setup.mass, n)
-        hn = norm2(n, setup.params)
-        ip = series.coeffs[:n] * h[:n] + Mn * qj1 * d[:n]
-        worst = max(worst, float(np.max(np.abs(ip))) / hn)
+        ip = stack[n, :n] * h[:n] + Mn * qj1 * d[:n]
+        worst = max(worst, float(np.max(np.abs(ip)) / h[n]))
     return worst
 
 
-def _reconstruct_worst(setup, n_max):
-    worst = 0.0
+def _reconstruct_worst(setup, stack, n_max):
+    # degrees j+1..n_max: the rows of the stack in one pass, the connection
+    # formula in another
     grid = np.linspace(-1.0, 1.0, 21)
-    for n in range(setup.j + 1, n_max + 1):
-        direct = clenshaw_eval(sobolev_polynomial(setup, n), grid)
-        rebuilt = connection_reconstruct(setup, n, grid)
-        scale = np.max(np.abs(direct))
-        worst = max(worst, float(np.max(np.abs(direct - rebuilt))) / scale)
-    return worst
+    p = setup.params
+    A, B, C = kernels.jacobi_recurrence(n_max + 2, p.a, p.b)
+    direct = kernels.clenshaw_batch(stack[setup.j + 1:n_max + 1, :n_max + 1], A, B, C, grid)
+    rebuilt = connection_reconstruct(setup, range(setup.j + 1, n_max + 1), grid)
+    err = np.max(np.abs(direct - rebuilt), axis=1) / np.max(np.abs(direct), axis=1)
+    return float(np.max(err))
 
 
 def _zero_shape_worst(setup, degrees, zero_sets):
@@ -160,11 +176,18 @@ def run_properties(zero_sets=None):
     zero_sets = {} if zero_sets is None else zero_sets
     out = []
 
-    worst = max(_orthogonality_worst(s, 100) for s in SETUPS.values())
+    # one series stack per preset serves both finite-degree checks; only
+    # one stack is alive at a time
+    ortho, rebuilt = [], []
+    for s in SETUPS.values():
+        stack = _series_stack(s, 100)
+        ortho.append(_orthogonality_worst(s, stack))
+        rebuilt.append(_reconstruct_worst(s, stack, 60))
+    worst = max(ortho)
     out.append(PropertyReport("sobolev-orthogonality(n<=100)", worst, 1e-9,
                               "pass" if worst <= 1e-9 else "fail"))
 
-    worst = max(_reconstruct_worst(s, 60) for s in SETUPS.values())
+    worst = max(rebuilt)
     out.append(PropertyReport("connection-reconstruct(n<=60)", worst, 1e-8,
                               "pass" if worst <= 1e-8 else "fail"))
 

@@ -232,7 +232,7 @@ def regime_excluded_count(setup):
         return 1
     if regime.kind is RegimeKind.CRITICAL:
         V = critical_mass_threshold(setup.params.alpha, setup.params.beta, j)
-        if float(setup.mass.M) > V:
+        if setup.mass.m > V:
             return 1
     return 0
 

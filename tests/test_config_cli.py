@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,14 @@ from sobolev_mh import golden, verify as verify_mod, zeros as zeros_mod
 from sobolev_mh.cli import main
 from sobolev_mh.config import parse_config, serialize_config
 from sobolev_mh.errors import ConfigError
+from sobolev_mh.jacobi import clenshaw_eval, deriv_at_one, norm2
 from sobolev_mh.presets import SETUPS, get_preset, preset_names
+from sobolev_mh.sobolev import (
+    connection_reconstruct,
+    mass,
+    q_deriv_at_one,
+    sobolev_polynomial,
+)
 
 LEGENDRE_CFG = """\
 [experiment]
@@ -238,6 +246,9 @@ class TestCliErrors:
         ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = nan"),
         ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = inf"),
         ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = -1"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = 100000"),
+        ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = 1e308"),
+        ("mh-curve", "degrees = 10", "degrees = 150 500\nx_max = 300.5"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
@@ -245,6 +256,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
+
+    def test_x_max_at_twice_smallest_degree(self, tmp_path, capsys):
+        # x = 2n maps to 1 - x^2/(2n^2) = -1, the edge of the curve's domain
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace("degrees = 10",
+                                                        "degrees = 150 500\nx_max = 300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mh-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_numeric_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
         from sobolev_mh import zeros
@@ -264,7 +284,57 @@ class TestCliErrors:
             main(["verify", "--threads", "2"])
         assert "--threads" in capsys.readouterr().err
 
+def _orthogonality_loop(setup, n_max):
+    # reference: the orthogonality check one degree at a time, each series
+    # rebuilt
+    worst = 0.0
+    j = int(setup.j)
+    h = np.array([norm2(m, setup.params) for m in range(n_max)])
+    d = np.array([deriv_at_one(m, j, setup.params) for m in range(n_max)])
+    for n in range(1, n_max + 1):
+        series = sobolev_polynomial(setup, n)
+        qj1 = q_deriv_at_one(setup, n, j)
+        Mn = mass(setup.mass, n)
+        hn = norm2(n, setup.params)
+        ip = series.coeffs[:n] * h[:n] + Mn * qj1 * d[:n]
+        worst = max(worst, float(np.max(np.abs(ip))) / hn)
+    return worst
+
+
+def _reconstruct_loop(setup, n_max):
+    # reference: the connection check one degree at a time, a direct and a
+    # connection Clenshaw pass each
+    worst = 0.0
+    grid = np.linspace(-1.0, 1.0, 21)
+    for n in range(setup.j + 1, n_max + 1):
+        direct = clenshaw_eval(sobolev_polynomial(setup, n), grid)
+        rebuilt = connection_reconstruct(setup, n, grid)
+        scale = np.max(np.abs(direct))
+        worst = max(worst, float(np.max(np.abs(direct - rebuilt))) / scale)
+    return worst
+
+
 class TestVerifyJob:
+    @pytest.mark.parametrize("name", sorted(SETUPS))
+    def test_stacked_checks_equal_degree_loops(self, name):
+        setup = SETUPS[name]
+        stack = verify_mod._series_stack(setup, 100)
+        assert verify_mod._orthogonality_worst(setup, stack) == _orthogonality_loop(setup, 100)
+        assert (verify_mod._reconstruct_worst(setup, stack, 60)
+                == _reconstruct_loop(setup, 60))
+
+    def test_one_connection_pass_per_preset(self, monkeypatch):
+        calls = []
+        inner = verify_mod.connection_reconstruct
+
+        def counted(setup, n, x):
+            calls.append(setup)
+            return inner(setup, n, x)
+
+        monkeypatch.setattr(verify_mod, "connection_reconstruct", counted)
+        assert all(p.status == "pass" for p in verify_mod.run_properties())
+        assert sorted(map(id, calls)) == sorted(map(id, SETUPS.values()))
+
     def test_only_filter_restricts(self):
         cells = verify_mod.run_golden(only="table5", fast=True)
         assert cells and all(c.table == "table5" for c in cells)

@@ -55,6 +55,19 @@ class TestMass:
         with pytest.raises(ValueError):
             mass(MassSequence(MassKind.PLAIN, 1.0, 2.0), 0)
 
+    @pytest.mark.parametrize("kind", [MassKind.PLAIN, MassKind.POLY_RATIO])
+    def test_fraction_parameters_convert_once(self, kind):
+        # the cached floats give the values of converting at every call
+        M, gamma = Fraction(61, 7), Fraction(61, 5)
+        seq = MassSequence(kind, M, gamma)
+        assert (seq.m, seq.g) == (float(M), float(gamma))
+        for n in (1, 2, 37, 150, 5000):
+            g = float(gamma)
+            expect = (float(M) * n ** (-g) if kind is MassKind.PLAIN
+                      else float(M) * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0))
+            assert mass(seq, n) == expect
+        assert seq == MassSequence(kind, M, gamma)  # fields only, not the cache
+
 
 class TestKernel:
     def test_single_term(self):
@@ -234,6 +247,22 @@ class TestConnection:
                 shifted = JacobiParams(p.a + 2.0 * i, p.b)
                 expect += b[i] * (1.0 - grid) ** i * jacobi_eval(n - i, shifted, grid)
             np.testing.assert_array_equal(connection_reconstruct(s, n, grid), expect)
+
+    def test_degree_sequence_equals_single_degrees(self, tabulated_setup):
+        # one stacked pass over every degree gives each degree's own row
+        s = tabulated_setup
+        grid = np.linspace(-1.0, 1.0, 21)
+        degrees = range(s.j + 1, 61)
+        got = connection_reconstruct(s, degrees, grid)
+        assert got.shape == (len(degrees), 21)
+        for row, n in zip(got, degrees):
+            np.testing.assert_array_equal(row, connection_reconstruct(s, n, grid))
+
+    def test_degree_sequence_shapes(self, critical_big):
+        assert connection_reconstruct(critical_big, [5, 9], 0.25).shape == (2,)
+        assert connection_reconstruct(critical_big, [7], np.zeros((2, 3))).shape == (1, 2, 3)
+        with pytest.raises(ValueError):
+            connection_reconstruct(critical_big, [9, critical_big.j], 0.25)
 
     def test_reconstruct_at_one(self, critical_big):
         n = 40
