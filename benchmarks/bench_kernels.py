@@ -14,6 +14,11 @@ A third line times the preset's whole connection-reconstruct check of
 ``verify`` (degrees j + 1 .. 60 on 21 points, series builds included): one
 series stack with one stacked Clenshaw pass for the series and one for the
 connection formula, against a direct and a connection pass per degree.
+Nothing is cached between its 20 repeats, so the best of them times the
+closed forms as computed (figures recorded while the closed forms sat
+behind lru_caches are warm-cache numbers).  A fourth line times the series
+build ``sobolev_polynomial`` at degree 5000: the log-space tables of
+log d_i(j) and log h_i, the kernel sum and the coefficients in one pass.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -114,6 +119,10 @@ def main():
     t_deg, _ = _timeit(per_degree, repeat=20)
     print(f"{f'reconstruct(n<={n_max})':>18s} {'stacked':>10s} {'per-degree':>11s}")
     print(f"{'':18s} {t_stack * 1e3:7.2f} ms {t_deg * 1e3:8.2f} ms")
+
+    t_build, _ = _timeit(lambda: sobolev_polynomial(setup, 5000), repeat=20)
+    print(f"{'series(n=5000)':>18s}")
+    print(f"{t_build * 1e3:15.2f} ms")
 
 
 if __name__ == "__main__":

@@ -4,14 +4,18 @@ The inner product adds a degree-dependent point mass M_n on the j-th
 derivative at x = 1.  The orthogonal polynomial of degree n is the
 classical one minus an explicit kernel correction; everything downstream
 (derivative ratios at 1, Sobolev norms, connection coefficients) follows
-from closed formulas, never finite differences.
+from closed formulas, never finite differences.  They take a degree or an
+array of degrees and stay logs until the final value; the kernel sums of
+every degree up to the largest come from one ``np.logaddexp.accumulate``,
+which cannot overflow.  Nothing is cached: a table up to degree 5000 costs
+about a millisecond.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +24,10 @@ from .errors import MissingMassError
 from .jacobi import (
     JacobiParams,
     JacobiSeries,
+    _degrees,
+    _exp,
     _log_d,
     _log_norm2,
-    deriv_at_one,
-    norm2,
     solve_connection,
 )
 
@@ -113,129 +117,101 @@ def mass(seq, n):
 
 
 # ---------------------------------------------------------------------------
-# kernel sums K_n^{(j,k)}(1,1)
+# kernel sums K_n^{(j,k)}(1,1) and the closed forms built on them
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _kernel_sum(n, j, k, a, b):
-    # sum_{i=0}^{n} d_i(j) d_i(k) / h_i with compensated accumulation; the
-    # terms span many orders of magnitude for large alpha and j
-    if n < 0:
-        return 0.0
-    total = 0.0
-    comp = 0.0
-    lo = max(j, k)
-    for i in range(lo, n + 1):
-        ldj = _log_d(i, j, a, b)
-        ldk = ldj if k == j else _log_d(i, k, a, b)
-        lh, factor = _log_norm2(i, a, b)
-        term = math.exp(ldj + ldk - lh) / factor
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def _log_kernel(params, n_max, ks):
+    """log d_i(k), one row per order in ``ks`` (-inf for i < k), and log h_i for
+    i <= n_max; log K_m^{(ks[0], k)}(1,1) for m = -1..n_max in column m + 1."""
+    i = np.arange(n_max + 1)
+    k = np.asarray(ks)[:, None]
+    ld = np.where(i < k, -np.inf, _log_d(np.maximum(i, k), k, params.a, params.b))
+    lh = _log_norm2(i, params.a, params.b)
+    terms = np.full((len(ks), n_max + 2), -np.inf)
+    terms[:, 1:] = ld[0] + ld - lh
+    return ld, lh, np.logaddexp.accumulate(terms, axis=1)
+
+
+def _log_forms(setup, n, ks=()):
+    """For the orders (j, *ks), one row each, and the degrees ``n`` (an int
+    array): log d_i(k) and log h_i for i <= max(n), log K_{n-1}^{(j,k)}(1,1),
+    log(1 + M_n K_{n-1}^{(j,j)}(1,1)) and log c_n = log of M_n d_n(j) over
+    the latter.  M_0 = 0; ``mass`` is called only at the degrees n, which
+    may be all a custom table holds."""
+    ld, lh, lK = _log_kernel(setup.params, int(n.max()), (int(setup.j), *ks))
+    with np.errstate(divide="ignore"):
+        lM = np.log([mass(setup.mass, m) if m else 0.0 for m in n.flat]).reshape(n.shape)
+    lden = np.logaddexp(0.0, lM + lK[0, n])
+    return ld, lh, lK[:, n], lden, lM + ld[0, n] - lden
+
+
+def _deriv_ratios(setup, n, ks):
+    # Q_n^(k)(1) / P_n^(k)(1), one row per order in ks: 1 - c_n K^{(j,k)} / d_n(k),
+    # or at k = j its exact rearrangement 1 / (1 + M_n K^{(j,j)})
+    ld, _, lK, lden, lc = _log_forms(setup, n, ks)
+    return [_exp(-lden) if k == setup.j else 1.0 - _exp(lc + lK[r] - ld[r, n])
+            for r, k in enumerate(ks, 1)]
 
 
 def kernel_at_one(setup, n, j, k):
-    """Kernel sum K_n^{(j,k)}(1,1) with its n^{2 alpha + 2j + 2k + 2} scaling."""
-    n = int(n)
+    """Kernel sum K_n^{(j,k)}(1,1) with its n^{2 alpha + 2j + 2k + 2} scaling,
+    formed in log space (OverflowError only if K itself is too large)."""
+    n, j, k = int(n), int(j), int(k)
     p = setup.params
-    value = _kernel_sum(n, int(j), int(k), p.a, p.b)
+    lK = _log_kernel(p, n, (j, k))[2][1, -1]
     power = 2.0 * p.a + 2.0 * j + 2.0 * k + 2.0
-    scaled = value / n ** power if n >= 1 else math.inf
-    return KernelValue(n=n, j=int(j), k=int(k), value=value, scaled=scaled)
+    scaled = _exp(lK - power * math.log(n)) if n >= 1 else math.inf
+    return KernelValue(n=n, j=j, k=k, value=_exp(lK), scaled=scaled)
 
 
-def _mass_coefficient(setup, n):
-    # c_n = M_n d_n(j) / (1 + M_n K_{n-1}^{(j,j)}(1,1)); n = 0 never uses M
-    if n == 0:
-        return 0.0
-    j = int(setup.j)
-    Mn = mass(setup.mass, n)
-    if Mn == 0.0:
-        return 0.0
-    p = setup.params
-    dn = deriv_at_one(n, j, p)
-    kjj = _kernel_sum(n - 1, j, j, p.a, p.b)
-    return Mn * dn / (1.0 + Mn * kjj)
+def _series_coeffs(setup, n):
+    """Jacobi coefficients -c_n d_i(j) / h_i (i < n), 1 (i = n) of the degrees
+    ``n`` (a 1-d int array), row r for n[r], zero-padded to max(n) + 1."""
+    ld, lh, _, _, lc = _log_forms(setup, n)
+    below = np.arange(n.max() + 1) < n[:, None]
+    coeffs = -_exp(lc[:, None] + np.where(below, ld[0] - lh, -np.inf))
+    coeffs[np.arange(len(n)), n] = 1.0
+    return coeffs
 
 
 def sobolev_polynomial(setup, n):
     """Degree-n orthogonal polynomial of the discrete inner product, as a
     Jacobi series with unit leading coefficient."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    p = setup.params
-    j = int(setup.j)
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    cn = _mass_coefficient(setup, n)
-    if cn != 0.0:
-        a, b = p.a, p.b
-        for i in range(j, n):
-            lh, factor = _log_norm2(i, a, b)
-            coeffs[i] = -cn * math.exp(_log_d(i, j, a, b) - lh) / factor
-    return JacobiSeries(p, coeffs)
+    return JacobiSeries(setup.params, _series_coeffs(setup, _degrees([n]))[0])
 
 
 def q_deriv_at_one(setup, n, k):
-    """k-th derivative of the Sobolev polynomial at x = 1 (closed kernel form).
+    """k-th derivative of the Sobolev polynomial at x = 1 (closed kernel form);
+    ``n`` may be an array of degrees.
 
     At k = j the generic difference d_n(j) - c_n K^{(j,j)} cancels almost
     completely once the mass term dominates, so that case uses the exact
     rearrangement d_n(j) / (1 + M_n K^{(j,j)}).
     """
-    n = int(n)
-    k = int(k)
-    p = setup.params
-    j = int(setup.j)
-    base = deriv_at_one(n, k, p)
-    if n == 0:
-        return base
-    Mn = mass(setup.mass, n)
-    if Mn == 0.0:
-        return base
-    if k == j:
-        return base / (1.0 + Mn * _kernel_sum(n - 1, j, j, p.a, p.b))
-    cn = _mass_coefficient(setup, n)
-    return base - cn * _kernel_sum(n - 1, j, k, p.a, p.b)
+    n, k = _degrees(n), int(k)
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    ld, _, lK, lden, lc = _log_forms(setup, n, (k,))
+    if k == int(setup.j):
+        return _exp(ld[0, n] - lden)
+    return _exp(ld[1, n]) - _exp(lc + lK[1])
 
 
 def deriv_ratio(setup, n, k):
-    """Ratio of the Sobolev to the classical k-th derivative at x = 1."""
-    n = int(n)
-    k = int(k)
-    if not 0 <= k <= n:
+    """Ratio of the Sobolev to the classical k-th derivative at x = 1; ``n``
+    may be an array of degrees."""
+    n, k = _degrees(n), int(k)
+    if not 0 <= k <= n.min():
         raise ValueError("need 0 <= k <= n")
-    p = setup.params
-    j = int(setup.j)
-    if n == 0:
-        return 1.0
-    Mn = mass(setup.mass, n)
-    if Mn == 0.0:
-        return 1.0
-    if k == j:
-        return 1.0 / (1.0 + Mn * _kernel_sum(n - 1, j, j, p.a, p.b))
-    cn = _mass_coefficient(setup, n)
-    return 1.0 - cn * _kernel_sum(n - 1, j, k, p.a, p.b) / deriv_at_one(n, k, p)
+    return _deriv_ratios(setup, n, (k,))[0]
 
 
 def sobolev_norm2(setup, n):
-    """Squared Sobolev norm of the degree-n orthogonal polynomial."""
-    n = int(n)
-    p = setup.params
-    h = norm2(n, p)
-    if n == 0:
-        return h
-    Mn = mass(setup.mass, n)
-    if Mn == 0.0:
-        return h
-    j = int(setup.j)
-    dn = deriv_at_one(n, j, p)
-    kjj = _kernel_sum(n - 1, j, j, p.a, p.b)
-    return h + Mn * dn * dn / (1.0 + Mn * kjj)
+    """Squared Sobolev norm of the degree-n orthogonal polynomial,
+    h_n + c_n d_n(j); ``n`` may be an array of degrees."""
+    n = _degrees(n)
+    ld, lh, _, _, lc = _log_forms(setup, n)
+    return _exp(lh[n]) + _exp(lc + ld[0, n])
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +223,22 @@ def connection_coeffs(setup, n):
     sum_i b_i(n) (1-x)^i P_{n-i} with weight exponent alpha+2i.
 
     Solved by forward substitution of the lower-triangular system obtained
-    from the derivative values at x = 1.
+    from the derivative values at x = 1.  ``n`` may be an array of degrees;
+    the coefficients of degree n[r] are then row r.
     """
-    n = int(n)
-    j = int(setup.j)
-    if n < j + 1:
-        raise ValueError(f"connection formula needs n >= {j + 1}, got {n}")
+    n, j = _degrees(n), int(setup.j)
+    if np.any(n < j + 1):
+        raise ValueError(f"connection formula needs n >= {j + 1}, got {n.min()}")
     p = setup.params
-
-    def entry(i, k):
-        # (k-i)-th derivative at 1 of P_{n-i}^{(a+2i, b)} over the k-th of P_n
-        return math.exp(_log_d(n - i, k - i, p.a + 2.0 * i, p.b) - _log_d(n, k, p.a, p.b))
-
-    return solve_connection(lambda k: deriv_ratio(setup, n, k), entry, j + 2)
+    ratio = _deriv_ratios(setup, n, range(j + 2))
+    # L[..., i, k]: log of the (k-i)-th derivative at 1 of P_{n-i}^{(a+2i, b)}
+    # (row 0 is P_n's own); the entries with k < i are never read
+    i = np.arange(j + 2)[:, None]
+    k = np.arange(j + 2)
+    L = _log_d(n[..., None, None] - i, np.maximum(k - i, 0), p.a + 2.0 * i, p.b)
+    entry = np.exp(L - L[..., :1, :])
+    b = solve_connection(lambda k: ratio[k], lambda i, k: entry[..., i, k], j + 2)
+    return np.moveaxis(b, 0, -1)
 
 
 def connection_reconstruct(setup, n, x):
@@ -272,12 +251,9 @@ def connection_reconstruct(setup, n, x):
     """
     degrees = np.atleast_1d(np.asarray(n, dtype=np.int64))
     j = int(setup.j)
-    if degrees.min() < j + 1:
-        raise ValueError(f"connection formula needs n >= {j + 1}, got {degrees.min()}")
     p = setup.params
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    b = np.array([connection_coeffs(setup, d) for d in degrees])
-    b = b.T.reshape((j + 2, len(degrees)) + (1,) * arr.ndim)
+    b = connection_coeffs(setup, degrees).T.reshape((j + 2, len(degrees)) + (1,) * arr.ndim)
     # row (k, i) is P_{n_k-i}^{(alpha+2i, beta)}: the unit series e_{n_k-i},
     # zero-padded to the largest degree, in the basis of exponent alpha + 2i,
     # whose recurrence row i every degree shares

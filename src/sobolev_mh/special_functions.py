@@ -1,14 +1,15 @@
 """Gamma and Bessel primitives used by every layer above.
 
-Self-contained: log-gamma via a 9-term Lanczos approximation; Bessel J of
-real order nu > -1 over a whole array of arguments at once, by the
-ascending series (extended-precision accumulation) below the crossover
-max(14, 1.4|nu|) and above it by the large-argument expansion (DLMF 10.17)
-at a base order in [-1/2, 1/2) followed by the upward order recurrence
-(DLMF 10.6); and Bessel zeros, found by the scan-and-refine shared with
-the limit-function zeros (``kernels._scan_zeros``: a 0.18 grid up to a
-little past McMahon's estimate of the last zero wanted, then the
-safeguarded Newton method shared with the polynomial zeros).
+Self-contained: log-gamma via a 9-term Lanczos approximation, of a scalar
+or of an array; Bessel J of real order nu > -1 over a whole array of
+arguments at once, by the ascending series (extended-precision
+accumulation) below the crossover max(14, 1.4|nu|) and above it by the
+large-argument expansion (DLMF 10.17) at a base order in [-1/2, 1/2)
+followed by the upward order recurrence (DLMF 10.6); and Bessel zeros,
+found by the scan-and-refine shared with the limit-function zeros
+(``kernels._scan_zeros``: a 0.18 grid up to a little past McMahon's
+estimate of the last zero wanted, then the safeguarded Newton method
+shared with the polynomial zeros).
 """
 
 import math
@@ -35,18 +36,26 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x):
-    """Natural log of the Gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x!r}")
-    if x < 0.5:
+    """Natural log of the Gamma function for x > 0: of a scalar (a float,
+    evaluated with ``math``) or of an array (one numpy pass)."""
+    scalar = np.ndim(x) == 0
+    x = float(x) if scalar else np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0.0):
+        raise ValueError(f"log_gamma requires a positive argument, got {np.min(x)}")
+    log = math.log if scalar else np.log
+    low = x < 0.5
+    if np.any(low):
         # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        if scalar:
+            return log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        out = log_gamma(np.where(low, 1.0 - x, x))
+        out[low] = log(math.pi / np.sin(math.pi * x[low])) - out[low]
+        return out
     series = _LANCZOS[0]
     for i in range(1, 9):
         series += _LANCZOS[i] / (x + i - 1.0)
     t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(series)
+    return _HALF_LOG_2PI + (x - 0.5) * log(t) - t + log(series)
 
 
 def gamma_ratio(n, a, b):

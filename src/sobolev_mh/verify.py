@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .jacobi import clenshaw_eval, deriv_at_one, norm2
 from .presets import SETUPS
 from .sobolev import (
+    _series_coeffs,
     connection_reconstruct,
     mass,
     q_deriv_at_one,
@@ -95,26 +96,19 @@ def run_golden(only=None, fast=True, tolerances=None, zero_sets=None):
 def _series_stack(setup, n_max):
     """Jacobi coefficients of the Sobolev polynomials of degree 0..n_max,
     row n for degree n, zero-padded to n_max + 1 columns."""
-    stack = np.zeros((n_max + 1, n_max + 1))
-    stack[0, 0] = 1.0
-    for n in range(1, n_max + 1):
-        stack[n, :n + 1] = sobolev_polynomial(setup, n).coeffs
-    return stack
+    return _series_coeffs(setup, np.arange(n_max + 1))
 
 
 def _orthogonality_worst(setup, stack):
-    worst = 0.0
-    j = int(setup.j)
     n_max = len(stack) - 1
+    n = np.arange(1, n_max + 1)
     # <Q_n, P_m> = c_m h_m + M_n Q_n^(j)(1) P_m^(j)(1) for every m < n at once
-    h = np.array([norm2(m, setup.params) for m in range(n_max + 1)])
-    d = np.array([deriv_at_one(m, j, setup.params) for m in range(n_max)])
-    for n in range(1, n_max + 1):
-        qj1 = q_deriv_at_one(setup, n, j)
-        Mn = mass(setup.mass, n)
-        ip = stack[n, :n] * h[:n] + Mn * qj1 * d[:n]
-        worst = max(worst, float(np.max(np.abs(ip)) / h[n]))
-    return worst
+    h = norm2(np.arange(n_max + 1), setup.params)
+    d = deriv_at_one(np.arange(n_max), setup.j, setup.params)
+    Mn = np.array([mass(setup.mass, m) for m in n])
+    ip = stack[1:, :n_max] * h[:n_max] + (Mn * q_deriv_at_one(setup, n, setup.j))[:, None] * d
+    ip = np.where(np.arange(n_max) < n[:, None], np.abs(ip), 0.0)
+    return float(np.max(np.max(ip, axis=1) / h[1:]))
 
 
 def _reconstruct_worst(setup, stack, n_max):

@@ -155,6 +155,16 @@ class TestCliOtherJobs:
         assert lines[0] == "experiment_id,n,index,zero"
         assert len(lines) == 1 + 10
 
+    def test_high_alpha_zeros_job(self, tmp_path, capsys):
+        # alpha = 100, n = 3000: the kernel sums overflowed in linear space
+        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 100").replace("j = 3", "j = 0")
+                .replace("gamma = 2", "gamma = 1").replace("M = 0", "M = 1")
+                .replace("degrees = 10", "degrees = 3000"))
+        cfg = _write_cfg(tmp_path, text)
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "legendre.csv").read_text().splitlines()) == 1 + 3000
+
     def test_limits_job(self, tmp_path):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace("csv = legendre.csv",
                                                         "csv = lim.csv"))

@@ -95,6 +95,12 @@ class TestDerivAtOne:
     def test_above_degree_vanishes(self):
         assert deriv_at_one(3, 4, P01) == 0.0
 
+    def test_unrepresentable_value_raises(self):
+        # 2^-3 (n+a+b+1)_3 C(n+a, n-3) at n = 3000, a = 300 is far above the
+        # double range: OverflowError, as math.exp gives, not inf and a warning
+        with pytest.raises(OverflowError):
+            deriv_at_one(3000, 3, JacobiParams(300.0, 0.0))
+
     def test_legendre_cubic_third_derivative(self):
         # P_3 on (0,0) is (5x^3 - 3x)/2, so the third derivative is 15
         assert deriv_at_one(3, 3, P01) == pytest.approx(15.0, rel=1e-13)

@@ -21,6 +21,8 @@ from sobolev_mh.sobolev import (
 )
 from sobolev_mh.special_functions import log_gamma
 
+from mp_oracle import SobolevOracle, coeff_error
+
 ZERO_MASS = SobolevSetup(JacobiParams(0.0, 0.0), 3,
                          MassSequence(MassKind.PLAIN, 0.0, 2.0))
 
@@ -106,6 +108,21 @@ class TestKernel:
                        / deriv_at_one(n, k, p))
                 ref = 2.0**i * math.exp(log_gamma(a + k + 1) - log_gamma(a + i + k + 1))
                 assert got == pytest.approx(ref, abs=1e-2, rel=1e-2)
+
+    def test_scaled_is_finite_where_the_power_overflows(self):
+        # n^(2a + 2j + 2k + 2) = 3000^122 is not a double; K / 3000^122 is
+        s = SobolevSetup(JacobiParams(40.0, 0.0), 10,
+                         MassSequence(MassKind.PLAIN, 1.0, 1.0))
+        kv = kernel_at_one(s, 3000, 10, 10)
+        assert math.isfinite(kv.value)
+        assert kv.scaled == pytest.approx(
+            math.exp(math.log(kv.value) - 122.0 * math.log(3000.0)), rel=1e-12)
+
+    def test_unrepresentable_value_raises(self):
+        s = SobolevSetup(JacobiParams(100.0, 0.0), 20,
+                         MassSequence(MassKind.PLAIN, 1.0, 1.0))
+        with pytest.raises(OverflowError):
+            kernel_at_one(s, 3000, 20, 20)
 
 
 class TestSobolevPolynomial:
@@ -275,3 +292,48 @@ class TestConnection:
         got = connection_reconstruct(ZERO_MASS, 15, 0.37)
         assert got == pytest.approx(jacobi_eval(15, ZERO_MASS.params, 0.37),
                                     rel=1e-10)
+
+
+def test_degree_arrays_match_single_degrees(tabulated_setup):
+    # every closed form taking an array of degrees gives each degree's own value
+    s = tabulated_setup
+    n = np.arange(s.j + 1, 41)
+    for k in (0, s.j, s.j + 1):
+        np.testing.assert_array_equal(q_deriv_at_one(s, n, k),
+                                      [q_deriv_at_one(s, m, k) for m in n])
+        np.testing.assert_array_equal(deriv_ratio(s, n, k), [deriv_ratio(s, m, k) for m in n])
+        np.testing.assert_array_equal(deriv_at_one(n, k, s.params),
+                                      [deriv_at_one(m, k, s.params) for m in n])
+    np.testing.assert_array_equal(norm2(n, s.params), [norm2(m, s.params) for m in n])
+    np.testing.assert_array_equal(sobolev_norm2(s, n), [sobolev_norm2(s, m) for m in n])
+    np.testing.assert_array_equal(connection_coeffs(s, n),
+                                  [connection_coeffs(s, m) for m in n])
+
+
+class TestMpmathOracle:
+    """The closed forms against 50-digit mpmath (``mp_oracle``) on the four
+    presets; binary64 log-Gamma cancellation leaves ~2e-13 in the series
+    coefficients and ~2e-12 in the connection coefficients."""
+
+    @pytest.fixture(scope="class", params=sorted(SETUPS))
+    def case(self, request):
+        s = SETUPS[request.param]
+        return s, SobolevOracle(s, 60)
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_series_coefficients(self, case, n):
+        s, oracle = case
+        assert coeff_error(sobolev_polynomial(s, n).coeffs, oracle.coeffs(n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_connection_coefficients(self, case, n):
+        s, oracle = case
+        ref = np.array([float(v) for v in oracle.connection(n)])
+        assert np.max(np.abs(connection_coeffs(s, n) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_kernel_sums(self, case, n):
+        s, oracle = case
+        for k in range(s.j + 2):
+            ref = float(oracle.kernel(n, k))
+            assert kernel_at_one(s, n, s.j, k).value == pytest.approx(ref, rel=1e-12)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from mp_oracle import SobolevOracle, coeff_error
 from reference_values import TRUE_TABLES
 
 from sobolev_mh import kernels
@@ -169,6 +170,49 @@ def test_robustness_sweep(alpha, n, monkeypatch):
         assert len(zs.zeros) == n, case
         assert zs.outside_count <= 1, case
         assert passes == 1, case
+
+
+def _plain_setup(alpha, beta, j, gamma):
+    return SobolevSetup(JacobiParams(alpha, beta), j, MassSequence(MassKind.PLAIN, 1, gamma))
+
+
+def _assert_zero_set(setup, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zs = sobolev_zeros(setup, n)
+    assert len(zs.zeros) == n
+    assert zs.outside_count <= 1
+
+
+@pytest.mark.parametrize("beta, j", [(0, 0), (0, 10), (100, 0), (100, 10)])
+def test_high_alpha_degree_3000(beta, j):
+    # the kernel sums of alpha = 100 at n = 3000 are not doubles; their logs are
+    _assert_zero_set(_plain_setup(100, beta, j, 1), 3000)
+
+
+def test_high_alpha_coefficients_match_mpmath():
+    s = _plain_setup(100, 0, 20, 1)
+    ref = SobolevOracle(s, 500, dps=60).coeffs(500)
+    assert coeff_error(sobolev_polynomial(s, 500).coeffs, ref) <= 1e-11
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [500, 3000])
+@pytest.mark.parametrize("alpha", [0, 20, 50, 100])
+def test_overflow_sweep(alpha, n):
+    """Every case of beta in {0, 20, 50, 100}, j in {0, 5, 10}, gamma in
+    {1, 40}, plain mass M = 1 finds n zeros, at most one above 1, without a
+    warning."""
+    for beta, j, gamma in itertools.product((0, 20, 50, 100), (0, 5, 10), (1, 40)):
+        _assert_zero_set(_plain_setup(alpha, beta, j, gamma), n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("beta, j", [(0, 0), (100, 10)])
+def test_high_alpha_coefficients_degree_3000(beta, j):
+    s = _plain_setup(100, beta, j, 1)
+    ref = SobolevOracle(s, 3000, dps=60).coeffs(3000)
+    assert coeff_error(sobolev_polynomial(s, 3000).coeffs, ref) <= 1e-10
 
 
 def test_legendre_zeros_match_companion_oracle():
