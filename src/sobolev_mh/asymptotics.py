@@ -13,8 +13,12 @@ Its sign structure is pinned by exact finite-degree computation (the
 coefficients are limits of connection_coeffs, see the test suite), which
 settles the sign of the G term in the numerator.
 
-``limit_eval`` works on whole arrays: one array Bessel evaluation per
-nonzero term, with a three-term ascending form below x = 1e-4.
+The limit function is L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x).
+It is evaluated, with its derivative for the zero finder, as
+sum_i b_i 2^i (x/2)^(2i) z_{alpha+2i}(x) from the entire functions
+z_nu(x) = (x/2)^(-nu) J_nu(x): no singular factor is formed, so one
+formula holds from x = 0 on.  ``limit_eval`` is its value on whole arrays,
+one array Bessel evaluation per nonzero term.
 """
 
 import enum
@@ -26,7 +30,7 @@ import numpy as np
 
 from .jacobi import JacobiParams, solve_connection
 from .sobolev import MassKind, MassSequence, SobolevSetup
-from .special_functions import bessel_j, log_gamma
+from .special_functions import _bessel_z, log_gamma
 
 
 class RegimeKind(enum.Enum):
@@ -119,51 +123,53 @@ def limit_coeffs(setup):
     return LimitFunction(alpha=a, b=_solve_limit_system(lead, j, a), regime=regime)
 
 
+def _limit(lf, x, deriv=False):
+    """L(x) = sum_i w_i h^(2i) z_{alpha+2i}(x), h = x/2, w_i = b_i 2^i, on the
+    array x >= 0, and with ``deriv`` the pair (L, L').
+
+    dz_nu/dx = -h z_{nu+1} (DLMF 10.6.6) gives
+    L' = sum_i w_i (i h^(2i-1) z_nu - h^(2i+1) z_{nu+1}), nu = alpha + 2i, and
+    z_{nu+1} = (z_nu + h^2 z_{nu+2}) / (nu + 1) (DLMF 10.6.1): one Bessel
+    pass per even order.
+    """
+    a = lf.alpha
+    terms = np.flatnonzero(lf.b).tolist()
+    orders = sorted({*terms, *(i + 1 for i in terms)}) if deriv else terms
+    z = {k: _bessel_z(a + 2.0 * k, x) for k in orders}
+    h = 0.5 * x
+    f = fp = np.zeros(len(x))
+    for i in terms:
+        w = lf.b[i] * 2.0 ** i
+        f = f + w * h ** (2 * i) * z[i]
+        if deriv:
+            z_odd = (z[i] + h * h * z[i + 1]) / (a + 2.0 * i + 1.0)
+            fp = fp + w * ((i * h ** (2 * i - 1) * z[i] if i else 0.0)
+                           - h ** (2 * i + 1) * z_odd)
+    return (f, fp) if deriv else f
+
+
 def limit_eval(lf, x):
-    """Evaluate sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) for x >= 0.
+    """Evaluate L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) for x >= 0
+    (the value at 0 is its limit, b_0 / Gamma(alpha + 1)).
 
     ``x`` may be a scalar (the result is a float) or an array; each nonzero
     term costs one array Bessel evaluation over all points.
     """
-    a = lf.alpha
-    b = lf.b
     xa = np.asarray(x, dtype=np.float64)
-    flat = xa.ravel()
-    if np.any(flat < 0.0):
+    if np.any(xa < 0.0):
         raise ValueError("argument must be nonnegative")
-    out = np.empty(len(flat))
-    small = flat < 1e-4
-    if small.any():
-        # removable singularity at 0: three ascending terms suffice here
-        t = 0.25 * flat[small] * flat[small]
-        total = 0.0
-        for p in range(3):
-            inner = 0.0
-            for i in range(min(p, len(b) - 1) + 1):
-                m = p - i
-                inner += b[i] * 2.0 ** i * (-1.0) ** m / (
-                    math.factorial(m) * math.exp(log_gamma(m + a + 2.0 * i + 1.0)))
-            total = total + inner * t ** p
-        out[small] = total
-    if not small.all():
-        xs = flat[~small]
-        total = 0.0
-        for i in np.flatnonzero(b):
-            total = total + b[i] * 2.0 ** i * bessel_j(a + 2.0 * i, xs)
-        out[~small] = np.exp(-a * np.log(0.5 * xs)) * total
-    if xa.ndim == 0:
-        return float(out[0])
-    return out.reshape(xa.shape)
+    out = _limit(lf, xa.ravel())
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def order_zero_identity_residual(alpha, beta, M, x):
     """Residual of the closed two-Bessel form of the critical limit function
     at derivative order zero.
 
-    With z_v(x) = x^(-v) J_v(x) and
+    With z_v(x) = (x/2)^(-v) J_v(x) and
     a(M) = -2 M (alpha+1) / (M + 2^(alpha+beta+1) Gamma(alpha+2) Gamma(alpha+1)),
     the order-zero critical limit function equals
-    2^alpha (z_alpha(x) + a(M) z_{alpha+1}(x)); this returns the absolute
+    z_alpha(x) + (a(M)/2) z_{alpha+1}(x); this returns the absolute
     difference of the two evaluations, a float for a scalar ``x`` and an
     array for an array ``x``.
     """
@@ -185,8 +191,7 @@ def order_zero_identity_residual(alpha, beta, M, x):
     denom = M + math.exp((a + b + 1.0) * math.log(2.0)
                          + log_gamma(a + 2.0) + log_gamma(a + 1.0))
     acoef = -2.0 * M * (a + 1.0) / denom
-    z1 = x ** (-a) * bessel_j(a, x)
-    z2 = x ** (-(a + 1.0)) * bessel_j(a + 1.0, x)
-    rhs = (2.0 ** a) * (z1 + acoef * z2)
+    flat = x.ravel()
+    rhs = (_bessel_z(a, flat) + 0.5 * acoef * _bessel_z(a + 1.0, flat)).reshape(x.shape)
     resid = np.abs(lhs - rhs)
     return resid if x.ndim else float(resid)

@@ -21,7 +21,7 @@ from . import verify as verify_mod
 from .asymptotics import limit_coeffs, limit_eval
 from .config import JOBS, parse_config
 from .errors import ConfigError, NumericError
-from .jacobi import clenshaw_eval
+from .jacobi import scaled_eval
 from .presets import get_preset
 from .sobolev import sobolev_polynomial
 from .svg import line_chart
@@ -118,12 +118,7 @@ def _mh_curve(cfg, full_precision):
     xs = np.linspace(0.0, cfg.x_max, cfg.points)
     lf = limit_coeffs(cfg.setup)
     ref = limit_eval(lf, xs)
-    a = cfg.setup.params.a
-    cols = {}
-    for n in cfg.degrees:
-        series = sobolev_polynomial(cfg.setup, n)
-        args = 1.0 - xs * xs / (2.0 * n * n)
-        cols[n] = math.exp(-a * math.log(n)) * clenshaw_eval(series, args)
+    cols = {n: scaled_eval(sobolev_polynomial(cfg.setup, n), xs) for n in cfg.degrees}
     header = ["x", "limit"] + [f"q_{n}" for n in cfg.degrees]
     lines = [",".join(header)]
     for i, x in enumerate(xs):

@@ -153,15 +153,13 @@ class CellReport:
     status: str        # pass | fail | flagged
 
 
-def compare_table(table, computed_rows, computed_limit, tolerances=None):
+def compare_table(table, computed_rows, computed_limit):
     """Compare computed rows against one golden table.
 
     ``computed_rows``: dict n -> sequence ordered like the stored rows.
-    Returns a list of CellReport; flagged cells never carry status 'fail'.
+    Returns a list of CellReport, at the tolerances of ``TOLERANCES``;
+    flagged cells never carry status 'fail'.
     """
-    tol_map = dict(TOLERANCES)
-    if tolerances:
-        tol_map.update(tolerances)
     out = []
     for n, ref_row in sorted(table.rows.items()):
         if n not in computed_rows:
@@ -171,7 +169,7 @@ def compare_table(table, computed_rows, computed_limit, tolerances=None):
         for pos, ref in enumerate(ref_row):
             got = float(comp[pos])
             err = abs(got - ref)
-            tol = tol_map[table.kind]
+            tol = TOLERANCES[table.kind]
             flagged = row_flagged or (n, pos) in table.flagged_cells
             status = "flagged" if flagged else ("pass" if err <= tol else "fail")
             out.append(CellReport(table.id, n, pos, table.kind, ref, got,
@@ -180,7 +178,7 @@ def compare_table(table, computed_rows, computed_limit, tolerances=None):
         for pos, ref in enumerate(table.limit):
             got = float(computed_limit[pos])
             err = abs(got - ref)
-            tol = tol_map["limit"]
+            tol = TOLERANCES["limit"]
             status = "flagged" if table.flagged_limit else (
                 "pass" if err <= tol else "fail")
             out.append(CellReport(table.id, "limit", pos, "limit", ref, got,

@@ -161,14 +161,14 @@ def derivative_series(series):
     return JacobiSeries(JacobiParams(p.a + 1.0, p.b + 1.0), dc)
 
 
-def scaled_eval(n, params, u):
-    """n^(-alpha) P_n(1 - u^2/(2 n^2)); the endpoint-scaled evaluation."""
-    n = int(n)
+def scaled_eval(series, u):
+    """n^(-alpha) S(1 - u^2/(2 n^2)) for a Jacobi series S of degree n >= 1 (a
+    scalar or array u, |u| <= 2n): the left side of the Mehler-Heine formula."""
+    n = len(series.coeffs) - 1
     if n < 1:
         raise ValueError("degree must be positive")
     uu = np.asarray(u, dtype=np.float64)
     if np.any(uu * uu > 4.0 * n * n):
         raise ValueError("scaled argument leaves [-1, 1]")
     x = 1.0 - uu * uu / (2.0 * n * n)
-    scale = math.exp(-params.a * math.log(n))
-    return scale * jacobi_eval(n, params, x)
+    return math.exp(-series.params.a * math.log(n)) * clenshaw_eval(series, x)

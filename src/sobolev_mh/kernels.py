@@ -11,16 +11,17 @@ steps then act on (rows, k) arrays, and each row of the result is bit for
 bit what a 1-d call on that row gives.
 
 ``refine_brackets`` converges every sign-change bracket together with a
-safeguarded Newton method, ``_rtsafe``, which takes any function that
-returns values and derivatives on an array.  ``_scan_zeros`` finds the
-first zeros of such a function on (0, inf) with it: the Bessel zeros and
-the limit-function zeros.  Each bracket starts from its secant
-point, the zero of the chord through its two end values (the midpoint when
-that point is not strictly inside).  A root is done once its Newton step is below
-1e-15 relative to max(1, |x|), on an exact zero of the series, or when its
-bracket is at most 1e-13 wide.  A step falls back to bisection only when
-Newton would leave the bracket or fails to halve the step before the last
-one (``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
+safeguarded Newton method on any function that returns values and
+derivatives on an array: the polynomial zeros pass it a pair of Clenshaw
+sums, and ``_scan_zeros`` uses it for the first zeros of a function on
+(0, inf), the Bessel zeros and the limit-function zeros.  Each bracket
+starts from its secant point, the zero of the chord through its two end
+values (the midpoint when that point is not strictly inside).  A root is
+done once its Newton step is below 1e-15 relative to max(1, |x|), on an
+exact zero of the function, or when its bracket is at most 1e-13 wide.  A
+step falls back to bisection only when Newton would leave the bracket or
+fails to halve the step before the last one (``rtsafe``, Numerical
+Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
@@ -117,9 +118,18 @@ _STEP_RTOL = 1e-15  # Newton step, relative to max(1, |x|), at which a root is d
 _MAX_REFINE = 120
 
 
-def _rtsafe(fdf, lo, hi, flo, fhi):
-    """Converge every bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
-    together; ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``."""
+def refine_brackets(fdf, lo, hi, flo, fhi):
+    """Converge each bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
+    to a root, starting from its secant point.
+
+    ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``; every
+    bracket is advanced in the same call, over the roots that are not yet
+    done.  Safeguarded Newton: a step leaving the bracket, or not halving the
+    step before the last one, is replaced by bisection.  A root is done when
+    the Newton step is at most 1e-15 max(1, |x|) (the root is then x - f/f'
+    clipped to the bracket), when f(x) == 0 exactly, or when the bracket is
+    at most 1e-13 wide (the root is then its midpoint).
+    """
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
     pos = flo > 0.0
@@ -166,33 +176,13 @@ def _rtsafe(fdf, lo, hi, flo, fhi):
 def _scan_zeros(f, fdf, step, top, count):
     """The first ``count`` positive zeros of f: its sign changes on the grid
     1e-3 + k step below ``top`` (doubled at most four times until it holds
-    them), refined together by ``_rtsafe`` with ``fdf``; f acts on arrays."""
+    them), refined together by ``refine_brackets`` with ``fdf``; f acts on
+    arrays."""
     for _ in range(5):
         xs = np.arange(1e-3, top, step)
         vals = f(xs)
         idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:count]
         if len(idx) == count:
-            return _rtsafe(fdf, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
+            return refine_brackets(fdf, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
         top *= 2.0
     raise NumericError(f"found only {len(idx)} of {count} zeros below {top / 2.0:g}")
-
-
-def refine_brackets(cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi):
-    """Converge each bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
-    to a root, starting from its secant point.
-
-    ``cq`` is the series f in the basis of the recurrence (Aq, Bq, Cq) and
-    ``cd`` its derivative in the basis of (Ad, Bd, Cd).  Every bracket is
-    advanced in the same numpy pass: one Clenshaw sum for f and one for f'
-    per pass, over the roots that are not yet done.  Safeguarded Newton: a
-    step leaving the bracket, or not halving the step before the last one,
-    is replaced by bisection.  A root is done when the Newton step is at most
-    1e-15 max(1, |x|) (the root is then x - f/f' clipped to the bracket),
-    when f(x) == 0 exactly, or when the bracket is at most 1e-13 wide (the
-    root is then its midpoint).
-    """
-    args = [np.ascontiguousarray(v, dtype=np.float64)
-            for v in (cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi)]
-    cq, Aq, Bq, Cq, cd, Ad, Bd, Cd, lo, hi, flo, fhi = args
-    return _rtsafe(lambda x: (_clenshaw_numpy(cq, Aq, Bq, Cq, x),
-                              _clenshaw_numpy(cd, Ad, Bd, Cd, x)), lo, hi, flo, fhi)

@@ -2,14 +2,17 @@
 
 Self-contained: log-gamma via a 9-term Lanczos approximation, of a scalar
 or of an array; Bessel J of real order nu > -1 over a whole array of
-arguments at once, by the ascending series (extended-precision
-accumulation) below the crossover max(14, 1.4|nu|) and above it by the
-large-argument expansion (DLMF 10.17) at a base order in [-1/2, 1/2)
-followed by the upward order recurrence (DLMF 10.6); and Bessel zeros,
-found by the scan-and-refine shared with the limit-function zeros
-(``kernels._scan_zeros``: a 0.18 grid up to a little past McMahon's
-estimate of the last zero wanted, then the safeguarded Newton method
-shared with the polynomial zeros).
+arguments at once, and the entire function z_nu(x) = (x/2)^(-nu) J_nu(x)
+(DLMF 10.2.2) that the limit functions are built from.  Below the
+crossover max(14, 1.4|nu|) both come from the ascending series of z_nu,
+started at 1/Gamma(nu+1) and summed in extended precision; J_nu multiplies
+it by (x/2)^nu.  Above the crossover J_nu comes from the large-argument
+expansion (DLMF 10.17) at a base order in [-1/2, 1/2) followed by the
+upward order recurrence (DLMF 10.6), and z_nu divides it by (x/2)^nu.
+Bessel zeros are found by the scan-and-refine shared with the
+limit-function zeros (``kernels._scan_zeros``: a 0.18 grid up to a little
+past McMahon's estimate of the last zero wanted, then the safeguarded
+Newton method shared with the polynomial zeros).
 """
 
 import math
@@ -79,14 +82,17 @@ def gamma_ratio(n, a, b):
 _LD = np.longdouble
 
 
-def _series_j(nu, x):
-    # ascending series over the array x, accumulated in extended precision
-    # to push the alternating-term cancellation floor below 1e-12 up to the
-    # crossover.  A point stops at its first term below 1e-22 of its sum;
-    # the terms are formed 16 at a time, one row per k
+def _series(nu, x, p):
+    # (x/2)^p z_nu(x) over the array x by the ascending series of the entire
+    # function z_nu = sum_k (-x^2/4)^k / (k! Gamma(nu+k+1)), accumulated in
+    # extended precision (its range holds the products of z_nu and (x/2)^p
+    # that a double does not, its precision keeps the alternating-term
+    # cancellation floor below 1e-12 up to the crossover).  A point stops at
+    # its first term at most 1e-22 of its sum; the terms are formed 16 at a
+    # time, one row per k
     q = x.astype(_LD) * _LD(0.5)
     nq2 = -(q * q)
-    term = np.exp(nu * np.log(0.5 * x) - log_gamma(nu + 1.0)).astype(_LD)
+    term = q ** p * np.exp(-_LD(log_gamma(nu + 1.0)))
     total = term
     out = np.empty(len(x))
     idx = np.arange(len(x))  # points still summing; the rest are in out
@@ -96,7 +102,7 @@ def _series_j(nu, x):
         terms[0] *= term
         np.cumprod(terms, axis=0, out=terms)
         totals = total + np.cumsum(terms, axis=0)
-        done = np.abs(terms) <= 1e-22 * (np.abs(totals) + 1e-30)
+        done = np.abs(terms) <= 1e-22 * np.abs(totals)
         fin = done.any(axis=0)
         out[idx[fin]] = totals[done.argmax(axis=0)[fin], np.flatnonzero(fin)]
         live = ~fin
@@ -145,6 +151,19 @@ def _upward_j(nu, x):
     return j1
 
 
+def _in_chunks(fn, x):
+    # fn over the array x, 256 points at a time: the per-term 2-D arrays of
+    # both branches stay small
+    out = np.empty(len(x))
+    for start in range(0, len(x), 256):
+        out[start:start + 256] = fn(x[start:start + 256])
+    return out
+
+
+def _crossover(nu):
+    return max(14.0, 1.4 * abs(nu))
+
+
 def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x) for nu > -1, x >= 0.
 
@@ -161,16 +180,26 @@ def bessel_j(nu, x):
     out = np.empty(len(flat))
     zero = flat == 0.0
     out[zero] = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
-    near = (flat < max(14.0, 1.4 * abs(nu))) & ~zero
-    for branch, fn in ((near, _series_j), (~(near | zero), _upward_j)):
-        idx = np.flatnonzero(branch)
-        # 256 points at a time keep the per-term 2-D arrays small
-        for start in range(0, len(idx), 256):
-            part = idx[start:start + 256]
-            out[part] = fn(nu, flat[part])
+    near = (flat < _crossover(nu)) & ~zero
+    far = ~(near | zero)
+    out[near] = _in_chunks(lambda v: _series(nu, v, nu), flat[near])
+    out[far] = _in_chunks(lambda v: _upward_j(nu, v), flat[far])
     if xa.ndim == 0:
         return float(out[0])
     return out.reshape(xa.shape)
+
+
+def _bessel_z(nu, x):
+    # the entire function z_nu(x) = (x/2)^(-nu) J_nu(x) on the 1-d array
+    # x >= 0, z_nu(0) = 1/Gamma(nu+1): its series below the crossover and
+    # J_nu / (x/2)^nu above it, where x/2 >= 7 (the power underflows at worst)
+    near = x < _crossover(nu)
+    out = np.empty(len(x))
+    out[near] = _in_chunks(lambda v: _series(nu, v, 0.0), x[near])
+    if not near.all():
+        far = x[~near]
+        out[~near] = bessel_j(nu, far) * (0.5 * far) ** -nu
+    return out
 
 
 def _mcmahon_guess(nu, i):
@@ -181,9 +210,6 @@ def _mcmahon_guess(nu, i):
             - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
 
 
-_zero_cache = {}  # order -> its first zeros, as many as asked for so far
-
-
 def bessel_j_zero(nu, i):
     """i-th positive zero of J_nu (i >= 1), to about 1e-12."""
     nu = float(nu)
@@ -192,14 +218,11 @@ def bessel_j_zero(nu, i):
     i = int(i)
     if i < 1:
         raise ValueError(f"zero index must be >= 1, got {i}")
-    zeros = _zero_cache.get(nu, ())
-    if len(zeros) < i:
 
-        def fdf(x):
-            # J'_nu via the order-raising relation; avoids orders below -1
-            jx = bessel_j(nu, x)
-            return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
+    def fdf(x):
+        # J'_nu via the order-raising relation; avoids orders below -1
+        jx = bessel_j(nu, x)
+        return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
 
-        zeros = _zero_cache[nu] = _scan_zeros(
-            lambda x: bessel_j(nu, x), fdf, 0.18, _mcmahon_guess(nu, i) + 5.0, i).tolist()
-    return zeros[i - 1]
+    zeros = _scan_zeros(lambda x: bessel_j(nu, x), fdf, 0.18, _mcmahon_guess(nu, i) + 5.0, i)
+    return float(zeros[i - 1])

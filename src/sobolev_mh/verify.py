@@ -18,7 +18,7 @@ import numpy as np
 from . import golden, kernels
 from .asymptotics import limit_coeffs, limit_eval, order_zero_identity_residual
 from .errors import ConfigError
-from .jacobi import clenshaw_eval, deriv_at_one, norm2
+from .jacobi import deriv_at_one, norm2, scaled_eval
 from .presets import SETUPS
 from .sobolev import (
     _series_coeffs,
@@ -40,7 +40,10 @@ class PropertyReport:
     name: str
     worst: float
     bound: float
-    status: str  # pass | fail
+
+    @property
+    def status(self):
+        return "pass" if self.worst <= self.bound else "fail"
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,18 @@ class VerifyResult:
                 and all(p.status == "pass" for p in self.properties))
 
 
-def _experiment_cells(exp_name, degrees, tolerances, zero_sets):
+def _experiment_cells(exp_name, degrees, zero_sets):
     setup = SETUPS[exp_name]
     tb = convergence_table(setup, degrees, 4, zero_sets.setdefault(exp_name, {}))
     raw_id, scaled_id = golden.EXPERIMENT_TABLES[exp_name]
     raw_rows = {row.n: row.raw for row in tb.rows}
     scaled_rows = {row.n: row.scaled for row in tb.rows}
-    cells = golden.compare_table(golden.TABLES[raw_id], raw_rows, None, tolerances)
-    cells += golden.compare_table(golden.TABLES[scaled_id], scaled_rows, tb.limit,
-                                  tolerances)
+    cells = golden.compare_table(golden.TABLES[raw_id], raw_rows, None)
+    cells += golden.compare_table(golden.TABLES[scaled_id], scaled_rows, tb.limit)
     return cells
 
 
-def run_golden(only=None, fast=True, tolerances=None, zero_sets=None):
+def run_golden(only=None, fast=True, zero_sets=None):
     """Recompute and compare the embedded tables; returns CellReports.
 
     ``zero_sets`` maps a preset name to a dict from degree to ZeroSet; it
@@ -83,7 +85,7 @@ def run_golden(only=None, fast=True, tolerances=None, zero_sets=None):
     zero_sets = {} if zero_sets is None else zero_sets
     cells = []
     for exp in experiments:
-        cells.extend(_experiment_cells(exp, degrees, tolerances, zero_sets))
+        cells.extend(_experiment_cells(exp, degrees, zero_sets))
     if only is not None:
         cells = [c for c in cells if c.table == only]
     return cells
@@ -124,8 +126,8 @@ def _reconstruct_worst(setup, stack, n_max):
 
 
 def _zero_shape_worst(setup, degrees, zero_sets):
-    """Largest violation over: count == n, simplicity, at most one outside."""
-    worst = 0.0
+    """0.0 when every set has n simple zeros, at most one outside [-1, 1]
+    and none at or below -1; inf otherwise."""
     for n in degrees:
         if n not in zero_sets:
             zero_sets[n] = sobolev_zeros(setup, n)
@@ -145,21 +147,15 @@ def _zero_shape_worst(setup, degrees, zero_sets):
         gap_u = np.min(np.abs(np.diff(u))) if len(u) > 1 else 1.0
         if max(gap_x, gap_u) < 1e-12:
             return math.inf
-    return worst
+    return 0.0
 
 
 def _mh_sup_errors(setup):
     lf = limit_coeffs(setup)
     xs = np.linspace(0.0, 18.0, 200)
     ref = limit_eval(lf, xs)
-    sups = []
-    a = setup.params.a
-    for n in MH_SUP_DEGREES:
-        series = sobolev_polynomial(setup, n)
-        args = 1.0 - xs * xs / (2.0 * n * n)
-        vals = math.exp(-a * math.log(n)) * clenshaw_eval(series, args)
-        sups.append(float(np.max(np.abs(vals - ref))))
-    return sups
+    return [float(np.max(np.abs(scaled_eval(sobolev_polynomial(setup, n), xs) - ref)))
+            for n in MH_SUP_DEGREES]
 
 
 def run_properties(zero_sets=None):
@@ -177,24 +173,17 @@ def run_properties(zero_sets=None):
         stack = _series_stack(s, 100)
         ortho.append(_orthogonality_worst(s, stack))
         rebuilt.append(_reconstruct_worst(s, stack, 60))
-    worst = max(ortho)
-    out.append(PropertyReport("sobolev-orthogonality(n<=100)", worst, 1e-9,
-                              "pass" if worst <= 1e-9 else "fail"))
-
-    worst = max(rebuilt)
-    out.append(PropertyReport("connection-reconstruct(n<=60)", worst, 1e-8,
-                              "pass" if worst <= 1e-8 else "fail"))
+    out.append(PropertyReport("sobolev-orthogonality(n<=100)", max(ortho), 1e-9))
+    out.append(PropertyReport("connection-reconstruct(n<=60)", max(rebuilt), 1e-8))
 
     worst = max(_zero_shape_worst(s, (25, 50, 150, 250), zero_sets.setdefault(name, {}))
                 for name, s in SETUPS.items())
-    out.append(PropertyReport("zero-count-simplicity(n<=250)", worst, 1e-12,
-                              "pass" if worst < math.inf else "fail"))
+    out.append(PropertyReport("zero-count-simplicity(n<=250)", worst, 1e-12))
 
     xs = np.linspace(0.1, 30.0, 120)
     worst = max(float(np.max(order_zero_identity_residual(a, b, M, xs)))
                 for a, b, M in ((0.0, 0.0, 1.0), (0.7, -0.3, 2.3), (-0.5, 0.25, 10.0)))
-    out.append(PropertyReport("order-zero-identity", worst, 1e-9,
-                              "pass" if worst <= 1e-9 else "fail"))
+    out.append(PropertyReport("order-zero-identity", worst, 1e-9))
 
     worst = 0.0
     xs = np.linspace(0.1, 50.0, 160)
@@ -202,8 +191,7 @@ def run_properties(zero_sets=None):
         r = np.abs(bessel_j(nu, xs) - (2.0 * (nu + 1.0) / xs) * bessel_j(nu + 1.0, xs)
                    + bessel_j(nu + 2.0, xs))
         worst = max(worst, float(np.max(r)))
-    out.append(PropertyReport("bessel-three-term", worst, 1e-10,
-                              "pass" if worst <= 1e-10 else "fail"))
+    out.append(PropertyReport("bessel-three-term", worst, 1e-10))
 
     worst = 0.0
     for x in (0.31, 1.0, 3.1, 7.7, 40.0):
@@ -211,15 +199,13 @@ def run_properties(zero_sets=None):
         rhs = (log_gamma(x) + log_gamma(x + 0.5)
                - (1.0 - 2.0 * x) * math.log(2.0) - 0.5 * math.log(math.pi))
         worst = max(worst, abs(math.expm1(lhs - rhs)))
-    out.append(PropertyReport("gamma-duplication", worst, 1e-12,
-                              "pass" if worst <= 1e-12 else "fail"))
+    out.append(PropertyReport("gamma-duplication", worst, 1e-12))
 
     worst = -math.inf  # signed: positive means the sup error failed to decrease
     for s in SETUPS.values():
         s300, s600 = _mh_sup_errors(s)
         worst = max(worst, s600 - s300)
-    out.append(PropertyReport("mh-sup-error-decreases(300->600)", worst, 0.0,
-                              "pass" if worst <= 0.0 else "fail"))
+    out.append(PropertyReport("mh-sup-error-decreases(300->600)", worst, 0.0))
     return out
 
 

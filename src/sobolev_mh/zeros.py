@@ -26,6 +26,7 @@ import numpy as np
 from . import kernels
 from .asymptotics import (
     RegimeKind,
+    _limit,
     classify_regime,
     critical_mass_threshold,
     limit_coeffs,
@@ -34,7 +35,7 @@ from .asymptotics import (
 from .errors import NumericError
 from .jacobi import clenshaw_eval, derivative_series
 from .sobolev import sobolev_polynomial
-from .special_functions import _mcmahon_guess, bessel_j
+from .special_functions import _mcmahon_guess
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,14 @@ def _brackets(c, A, B, C, grid):
 
 
 def _roots_from_grid(series, grid):
-    A, B, C = kernels.jacobi_recurrence(len(series.coeffs) + 1, series.params.a,
-                                        series.params.b)
-    lo, hi, flo, fhi, exact = _brackets(series.coeffs, A, B, C, grid)
+    c = series.coeffs
+    A, B, C = kernels.jacobi_recurrence(len(c) + 1, series.params.a, series.params.b)
+    lo, hi, flo, fhi, exact = _brackets(c, A, B, C, grid)
     d = derivative_series(series)
-    Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a,
-                                           d.params.b)
-    roots = kernels.refine_brackets(series.coeffs, A, B, C,
-                                    d.coeffs, Ad, Bd, Cd, lo, hi, flo, fhi)
+    Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a, d.params.b)
+    roots = kernels.refine_brackets(
+        lambda x: (kernels._clenshaw_numpy(c, A, B, C, x),
+                   kernels._clenshaw_numpy(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
     if len(exact):
         roots = np.concatenate([roots, exact])
     return np.sort(roots)
@@ -166,30 +167,13 @@ def scaled_zeros(setup, n, count):
     return ScaledZeros(n=int(n), values=vals, outside=outside)
 
 
-def _limit_fdf(lf, x):
-    # the limit function L and L' = (x/2)^(-a) sum_i b_i 2^i ((2i/x) J_{a+2i}
-    # - J_{a+2i+1}) on the array x > 0, the odd orders from J_{nu+1} =
-    # x (J_nu + J_{nu+2}) / (2 (nu + 1)): one Bessel pass per even order
-    a = lf.alpha
-    terms = [i for i, bi in enumerate(lf.b) if bi != 0.0]
-    J = {k: bessel_j(a + 2.0 * k, x) for k in sorted({*terms, *(i + 1 for i in terms)})}
-    f = fp = 0.0
-    for i in terms:
-        w = lf.b[i] * 2.0 ** i
-        f = f + w * J[i]
-        fp = fp + w * ((2.0 * i / x) * J[i]
-                       - x * (J[i] + J[i + 1]) / (2.0 * (a + 2.0 * i + 1.0)))
-    scale = np.exp(-a * np.log(0.5 * x))
-    return scale * f, scale * fp
-
-
 def limit_zeros(lf, count):
     """First `count` positive zeros of the limit function."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     top = _mcmahon_guess(lf.alpha, count + len(lf.b)) + 5.0
-    return kernels._scan_zeros(lambda x: limit_eval(lf, x), lambda x: _limit_fdf(lf, x),
+    return kernels._scan_zeros(lambda x: limit_eval(lf, x), lambda x: _limit(lf, x, True),
                                0.02, top, count)
 
 

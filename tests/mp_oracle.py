@@ -6,7 +6,9 @@ P_{n-k}^{(a+k, b+k)}(1)), h_n = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) /
 ((2n+a+b+1) Gamma(n+a+b+1) n!), kernel sums term by term, and the
 connection system from the derivatives Q_n^(k)(1) = d_n(k) - c_n K^{(j,k)}
 without the k = j rearrangement.  The inputs are the binary64 exponents and
-mass values the program itself uses.
+mass values the program itself uses.  Bessel J and the limit functions
+L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) come from mpmath's
+besselj at the binary64 arguments.
 """
 
 import mpmath as mp
@@ -23,6 +25,24 @@ def coeff_error(got, ref):
     nz = ref != 0.0
     assert np.all(got[~nz] == 0.0)
     return float(np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz])))
+
+
+def besselj(nu, x, dps=40):
+    """J_nu(x) rounded to a double."""
+    with mp.workdps(dps):
+        return float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
+
+
+def limit_value(lf, x, dps=40):
+    """The limit function of ``lf`` at x >= 0 rounded to a double; at x = 0
+    its limit b_0 / Gamma(alpha + 1)."""
+    with mp.workdps(dps):
+        a = mp.mpf(lf.alpha)
+        if x == 0.0:
+            return float(mp.mpf(lf.b[0]) / mp.gamma(a + 1))
+        x = mp.mpf(x)
+        return float(mp.fsum(mp.mpf(b) * 2 ** i * (x / 2) ** -a * mp.besselj(a + 2 * i, x)
+                             for i, b in enumerate(lf.b)))
 
 
 class SobolevOracle:

@@ -1,10 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from mp_oracle import limit_value
 from reference_values import TRUE_LIMIT_COEFFS
 
 from sobolev_mh.asymptotics import (
@@ -154,6 +156,21 @@ class TestLimitEval:
         err = np.abs(limit_eval(lf, xs) - terms.sum(axis=0))
         assert np.all(err <= 1e-12 * (size + size.max()))
         assert limit_eval(lf, float(xs[2000])) == limit_eval(lf, xs)[2000]
+
+    @pytest.mark.parametrize("alpha", [60, 100])
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_high_alpha_against_mpmath(self, alpha, j):
+        # (x/2)^(-alpha) and J_{alpha+2i} apart leave the double range
+        # (1e330 at alpha = 100, x = 1e-3); the limit function is ~1e-160
+        setup = SobolevSetup(JacobiParams(Fraction(alpha), Fraction(0)), j,
+                             MassSequence(MassKind.PLAIN, 1, Fraction(1)))
+        lf = limit_coeffs(setup)
+        for x in (0.0, 1e-6, 1e-3, 0.5, 5.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = limit_eval(lf, x)
+            ref = limit_value(lf, x)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_negative_argument_rejected(self, supercritical):
         with pytest.raises(ValueError):

@@ -353,9 +353,10 @@ class TestVerifyJob:
         with pytest.raises(ConfigError):
             verify_mod.run_golden(only="tableX")
 
-    def test_sabotaged_tolerance_names_cells(self):
+    def test_sabotaged_tolerance_names_cells(self, monkeypatch):
         tiny = {"raw": 1e-12, "scaled": 1e-12, "limit": 1e-12}
-        cells = verify_mod.run_golden(only="table2", fast=True, tolerances=tiny)
+        monkeypatch.setattr(golden, "TOLERANCES", tiny)
+        cells = verify_mod.run_golden(only="table2", fast=True)
         fails = [c for c in cells if c.status == "fail"]
         assert fails
         assert {(c.table, c.kind) for c in fails} <= {("table2", "scaled"),

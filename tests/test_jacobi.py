@@ -262,28 +262,36 @@ def test_reflection_symmetry(n, x, a, b):
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+def _unit(n, params):
+    # the series of P_n itself
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    return JacobiSeries(params, c)
+
+
 class TestScaledEval:
     def test_at_zero_argument(self):
         for n in (50, 400):
-            got = scaled_eval(n, JacobiParams(3.0, 1.0), 0.0)
+            got = scaled_eval(_unit(n, JacobiParams(3.0, 1.0)), 0.0)
             assert got == pytest.approx(n ** -3.0 * value_at_one(n, 3.0), rel=1e-12)
         # limit of the scaled endpoint value is 1/Gamma(alpha+1)
-        assert scaled_eval(4000, JacobiParams(3.0, 1.0), 0.0) == pytest.approx(
+        assert scaled_eval(_unit(4000, JacobiParams(3.0, 1.0)), 0.0) == pytest.approx(
             1.0 / math.exp(log_gamma(4.0)), rel=2e-3)
 
     def test_near_first_limit_zero(self):
-        assert abs(scaled_eval(500, JacobiParams(3.0, 1.0), 6.38016)) <= 2e-2
+        assert abs(scaled_eval(_unit(500, JacobiParams(3.0, 1.0)), 6.38016)) <= 2e-2
 
     def test_sup_error_decreases(self):
         p = JacobiParams(3.0, 1.0)
         us = np.linspace(1e-3, 15.0, 120)
         ref = np.array([(u / 2.0) ** -3.0 * bessel_j(3.0, u) for u in us])
-        sups = [float(np.max(np.abs(scaled_eval(n, p, us) - ref))) for n in (200, 400)]
+        sups = [float(np.max(np.abs(scaled_eval(_unit(n, p), us) - ref)))
+                for n in (200, 400)]
         assert sups[1] < sups[0]
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            scaled_eval(10, P01, 21.0)
+            scaled_eval(_unit(10, P01), 21.0)
 
 
 def test_derivative_series_matches_finite_difference():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros, jv
 
+from mp_oracle import besselj as mp_besselj
+
 from sobolev_mh.special_functions import bessel_j, bessel_j_zero, gamma_ratio, log_gamma
 
 mp.mp.dps = 30
@@ -90,6 +92,15 @@ class TestBesselJ:
         for x in xs:
             ref = float(mp.besselj(nu, float(x)))
             assert abs(bessel_j(nu, float(x)) - ref) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [20.0, 30.0, 40.0])
+    def test_high_order_relative_error(self, nu):
+        # J_nu is down to 1e-112 here: a series that stops on an absolute
+        # floor instead of a relative one loses digits
+        xs = np.linspace(0.05, 13.9, 120)
+        got = bessel_j(nu, xs)
+        ref = np.array([mp_besselj(nu, x) for x in xs])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -183,8 +194,8 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("nu", [5, 13])
     def test_against_scipy_integer_orders(self, nu):
-        # the 25th zero first: one scan brackets and refines all 25 together,
-        # and the lower indices then come from the cache
+        # one scan brackets and refines all 25 zeros together; the 25th is
+        # the same whichever call finds it
         z25 = bessel_j_zero(float(nu), 25)
         zs = np.array([bessel_j_zero(float(nu), k) for k in range(1, 26)])
         assert zs[-1] == z25
