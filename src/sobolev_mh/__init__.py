@@ -26,7 +26,6 @@ from .jacobi import (
     jacobi_eval,
     norm2,
     scaled_eval,
-    value_at_one,
 )
 from .sobolev import (
     KernelValue,
@@ -42,16 +41,12 @@ from .sobolev import (
     sobolev_norm2,
     sobolev_polynomial,
 )
-from .special_functions import bessel_j, bessel_j_zero, gamma_ratio, log_gamma
+from .special_functions import bessel_j, bessel_j_zero, log_gamma
 from .zeros import (
     ConvergenceTable,
-    ScaledZeros,
-    ZeroLocation,
     ZeroSet,
     convergence_table,
-    largest_zero_location,
     limit_zeros,
-    scaled_zeros,
     sobolev_zeros,
 )
 
@@ -60,13 +55,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConvergenceTable", "JacobiParams", "JacobiSeries",
     "KernelValue", "LimitFunction", "MassKind", "MassSequence", "NumericError",
-    "Regime", "RegimeKind", "ScaledZeros", "SobolevSetup", "ZeroLocation",
-    "ZeroSet", "bessel_j", "bessel_j_zero", "classify_regime", "clenshaw_eval",
-    "connection_coeffs", "connection_reconstruct", "convergence_table",
-    "critical_mass_threshold", "deriv_at_one", "deriv_ratio",
-    "derivative_series", "gamma_ratio", "jacobi_eval", "kernel_at_one",
-    "largest_zero_location", "limit_coeffs", "limit_eval", "limit_zeros",
-    "log_gamma", "mass", "norm2", "order_zero_identity_residual",
-    "q_deriv_at_one", "scaled_eval", "scaled_zeros", "sobolev_norm2",
-    "sobolev_polynomial", "sobolev_zeros", "value_at_one", "__version__",
+    "Regime", "RegimeKind", "SobolevSetup", "ZeroSet", "bessel_j",
+    "bessel_j_zero", "classify_regime", "clenshaw_eval", "connection_coeffs",
+    "connection_reconstruct", "convergence_table", "critical_mass_threshold",
+    "deriv_at_one", "deriv_ratio", "derivative_series", "jacobi_eval",
+    "kernel_at_one", "limit_coeffs", "limit_eval", "limit_zeros", "log_gamma",
+    "mass", "norm2", "order_zero_identity_residual", "q_deriv_at_one",
+    "scaled_eval", "sobolev_norm2", "sobolev_polynomial", "sobolev_zeros",
+    "__version__",
 ]

@@ -64,6 +64,13 @@ def classify_regime(gamma, alpha, j):
     return Regime(kind=kind, threshold=threshold)
 
 
+def _G(a, b, j):
+    # G = Gamma(a+j+1)^2 2^(a+b+2j+1) (a+2j+1); OverflowError where it is
+    # not a double (alpha = 100 at j = 0)
+    return math.exp(2.0 * log_gamma(a + j + 1.0)
+                    + (a + b + 2.0 * j + 1.0) * math.log(2.0)) * (a + 2.0 * j + 1.0)
+
+
 def critical_mass_threshold(alpha, beta, j):
     """Mass level above which the largest zero leaves [-1, 1] in the
     knife-edge regime: 2^(a+b+2j+1) (a+j+1) (a+2j+1) Gamma(a+j+1)^2 / j."""
@@ -71,9 +78,7 @@ def critical_mass_threshold(alpha, beta, j):
     if j < 1:
         raise ValueError("threshold needs a positive derivative order")
     a = float(alpha)
-    b = float(beta)
-    return math.exp((a + b + 2.0 * j + 1.0) * math.log(2.0)
-                    + 2.0 * log_gamma(a + j + 1.0)) * (a + j + 1.0) * (a + 2.0 * j + 1.0) / j
+    return _G(a, float(beta), j) * (a + j + 1.0) / j
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,7 @@ def limit_coeffs(setup):
         M = setup.mass.m
         if M < 0.0:
             raise ValueError("critical regime requires a nonnegative mass limit")
-        G = math.exp(2.0 * log_gamma(a + j + 1.0)
-                     + (a + p.b + 2.0 * j + 1.0) * math.log(2.0)) * (a + 2.0 * j + 1.0)
+        G = _G(a, p.b, j)
 
         def lead(i):
             return (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
@@ -188,9 +192,7 @@ def order_zero_identity_residual(alpha, beta, M, x):
     )
     lf = limit_coeffs(setup)
     lhs = limit_eval(lf, x)
-    denom = M + math.exp((a + b + 1.0) * math.log(2.0)
-                         + log_gamma(a + 2.0) + log_gamma(a + 1.0))
-    acoef = -2.0 * M * (a + 1.0) / denom
+    acoef = -2.0 * M * (a + 1.0) / (M + _G(a, b, 0))
     flat = x.ravel()
     rhs = (_bessel_z(a, flat) + 0.5 * acoef * _bessel_z(a + 1.0, flat)).reshape(x.shape)
     resid = np.abs(lhs - rhs)

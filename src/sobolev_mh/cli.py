@@ -221,13 +221,10 @@ def main(argv=None):
             atomic_write_text(path, text)
             print(path)
         return 0
-    except ConfigError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
+    except (NumericError, OverflowError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -3,7 +3,7 @@
 Format: two sections, ``[experiment]`` and ``[output]``, one ``key = value``
 per line, ``#`` comments.  Rational fields (alpha, beta, gamma, M) accept
 ``p/q`` strings and decimal literals and are kept exact, so knife-edge
-regime comparisons survive the round trip.
+regime comparisons are exact.
 """
 
 import math
@@ -165,30 +165,3 @@ def parse_config(text):
         csv_path=path_or_none("output.csv"), svg_path=path_or_none("output.svg"),
     )
 
-
-def serialize_config(cfg):
-    """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    s = cfg.setup
-    out = [
-        "[experiment]",
-        f"id = {cfg.id}",
-        f"job = {cfg.job}",
-        f"alpha = {s.params.alpha}",
-        f"beta = {s.params.beta}",
-        f"j = {s.j}",
-        f"gamma = {s.mass.gamma}",
-        f"mass = {s.mass.kind.value}",
-        f"M = {s.mass.M}",
-        f"degrees = {' '.join(str(d) for d in cfg.degrees)}",
-        f"zero_count = {cfg.zero_count}",
-    ]
-    if s.mass.custom_values:
-        pairs = " ".join(f"{k}:{v}" for k, v in sorted(s.mass.custom_values.items()))
-        out.append(f"custom_values = {pairs}")
-    out.append(f"x_max = {cfg.x_max:g}")
-    out.append(f"points = {cfg.points}")
-    out.append("")
-    out.append("[output]")
-    out.append(f"csv = {cfg.csv_path or 'none'}")
-    out.append(f"svg = {cfg.svg_path or 'none'}")
-    return "\n".join(out) + "\n"

@@ -93,11 +93,6 @@ def _log_d(n, k, a, b):
     return -k * math.log(2.0) + lg[0] - lg[1] + lg[2] - lg[3] - lg[4]
 
 
-def value_at_one(n, alpha):
-    """P_n(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))."""
-    return deriv_at_one(n, 0, JacobiParams(alpha, 0.0))
-
-
 def deriv_at_one(n, k, params):
     """k-th derivative of P_n at x = 1 (0 when k exceeds the degree); ``n``
     may be an array of degrees."""

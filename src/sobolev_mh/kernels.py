@@ -12,9 +12,10 @@ bit what a 1-d call on that row gives.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method on any function that returns values and
-derivatives on an array: the polynomial zeros pass it a pair of Clenshaw
-sums, and ``_scan_zeros`` uses it for the first zeros of a function on
-(0, inf), the Bessel zeros and the limit-function zeros.  Each bracket
+derivatives on an array: the polynomial zeros pass it a pair of
+``clenshaw_batch`` sums (the one Clenshaw entry), and ``_scan_zeros``
+uses it for the first zeros of a function on (0, inf), the Bessel zeros
+and the limit-function zeros.  Each bracket
 starts from its secant point, the zero of the chord through its two end
 values (the midpoint when that point is not strictly inside).  A root is
 done once its Newton step is below 1e-15 relative to max(1, |x|), on an
@@ -57,7 +58,24 @@ def jacobi_recurrence(m, alpha, beta):
 # Clenshaw evaluation of a Jacobi-basis series at many points
 # ---------------------------------------------------------------------------
 
-def _clenshaw_numpy(c, A, B, C, x):
+def clenshaw_batch(c, A, B, C, x):
+    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence).
+
+    ``c`` may also be a stack of series of shape rows + (K,), with ``A``,
+    ``B``, ``C`` of a shape (..., >= K + 1) whose leading axes broadcast
+    against rows (``jacobi_recurrence`` with a column of exponents gives one
+    recurrence per row; a 1-d recurrence serves every row): the result has
+    shape rows + x.shape, and each row is bit for bit the 1-d evaluation of
+    its series with its recurrence.  A series of lower degree is a row
+    padded with zeros.
+    """
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if c.shape[-1] == 1:
+        return np.full(c.shape[:-1] + x.shape, c.reshape(c.shape[:-1] + (1,) * x.ndim))
+    # recurrence arrays must extend one index past the series degree
+    if np.shape(A)[-1] < c.shape[-1] + 1:
+        raise ValueError("recurrence arrays must extend past the series degree")
     # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 in place on three
     # rotating buffers: the same operations in the same order, no allocation.
     # A 1-d series steps with Python floats, a stack with rows + (1, ...)
@@ -86,27 +104,6 @@ def _clenshaw_numpy(c, A, B, C, x):
         t -= u2
         u1, u2, t = t, u1, u2
     return u1[..., :1] if lone else u1
-
-
-def clenshaw_batch(c, A, B, C, x):
-    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence).
-
-    ``c`` may also be a stack of series of shape rows + (K,), with ``A``,
-    ``B``, ``C`` of a shape (..., >= K + 1) whose leading axes broadcast
-    against rows (``jacobi_recurrence`` with a column of exponents gives one
-    recurrence per row; a 1-d recurrence serves every row): the result has
-    shape rows + x.shape, and each row is bit for bit the 1-d evaluation of
-    its series with its recurrence.  A series of lower degree is a row
-    padded with zeros.
-    """
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if c.shape[-1] == 1:
-        return np.full(c.shape[:-1] + x.shape, c.reshape(c.shape[:-1] + (1,) * x.ndim))
-    # recurrence arrays must extend one index past the series degree
-    if np.shape(A)[-1] < c.shape[-1] + 1:
-        raise ValueError("recurrence arrays must extend past the series degree")
-    return _clenshaw_numpy(c, A, B, C, x)
 
 
 # ---------------------------------------------------------------------------

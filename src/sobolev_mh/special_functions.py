@@ -61,20 +61,6 @@ def log_gamma(x):
     return _HALF_LOG_2PI + (x - 0.5) * log(t) - t + log(series)
 
 
-def gamma_ratio(n, a, b):
-    """Gamma(n + a) / Gamma(n + b), evaluated in log space.
-
-    Never overflows as long as the ratio itself is representable; the two
-    arguments must avoid the poles, i.e. n + a > 0 and n + b > 0.
-    """
-    n = float(n)
-    xa = n + float(a)
-    xb = n + float(b)
-    if xa <= 0.0 or xb <= 0.0:
-        raise ValueError(f"gamma_ratio arguments hit a pole: n+a={xa}, n+b={xb}")
-    return math.exp(log_gamma(xa) - log_gamma(xb))
-
-
 # ---------------------------------------------------------------------------
 # Bessel J of the first kind, real order nu > -1, x >= 0
 # ---------------------------------------------------------------------------

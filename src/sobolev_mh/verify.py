@@ -95,12 +95,6 @@ def run_golden(only=None, fast=True, zero_sets=None):
 # property battery
 # ---------------------------------------------------------------------------
 
-def _series_stack(setup, n_max):
-    """Jacobi coefficients of the Sobolev polynomials of degree 0..n_max,
-    row n for degree n, zero-padded to n_max + 1 columns."""
-    return _series_coeffs(setup, np.arange(n_max + 1))
-
-
 def _orthogonality_worst(setup, stack):
     n_max = len(stack) - 1
     n = np.arange(1, n_max + 1)
@@ -170,7 +164,7 @@ def run_properties(zero_sets=None):
     # one stack is alive at a time
     ortho, rebuilt = [], []
     for s in SETUPS.values():
-        stack = _series_stack(s, 100)
+        stack = _series_coeffs(s, np.arange(101))
         ortho.append(_orthogonality_worst(s, stack))
         rebuilt.append(_reconstruct_worst(s, stack, 60))
     out.append(PropertyReport("sobolev-orthogonality(n<=100)", max(ortho), 1e-9))

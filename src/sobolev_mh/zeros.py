@@ -8,7 +8,8 @@ a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
 zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
 negative is there a zero above 1, and the ladder 1 + 1e-9 2^(k/8),
 k = 0..359, evaluated with overflow ignored, brackets it at its first sign
-change.
+change; ``ZeroSet.outside_count`` reports it.  The scaled zeros
+n sqrt(2(1 - y)) are formed only by ``convergence_table``, row by row.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) are
 bracketed by a 0.02 scan from 1e-3 up to McMahon's estimate of the
@@ -17,7 +18,6 @@ together by the same safeguarded Newton method on its value and derivative
 (``kernels._scan_zeros``, shared with the Bessel zeros).
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ from .asymptotics import (
     limit_eval,
 )
 from .errors import NumericError
-from .jacobi import clenshaw_eval, derivative_series
+from .jacobi import derivative_series
 from .sobolev import sobolev_polynomial
 from .special_functions import _mcmahon_guess
 
@@ -49,18 +49,6 @@ class ZeroSet:
     @property
     def outside_count(self):
         return int(np.count_nonzero(self.zeros > 1.0))
-
-
-@dataclass(frozen=True)
-class ScaledZeros:
-    n: int
-    values: np.ndarray = field(repr=False)  # strictly increasing
-    outside: float | None = None
-
-
-class ZeroLocation(enum.Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
 
 
 def _bracket_grid(setup, n):
@@ -123,8 +111,8 @@ def _roots_from_grid(series, grid):
     d = derivative_series(series)
     Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a, d.params.b)
     roots = kernels.refine_brackets(
-        lambda x: (kernels._clenshaw_numpy(c, A, B, C, x),
-                   kernels._clenshaw_numpy(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
+        lambda x: (kernels.clenshaw_batch(c, A, B, C, x),
+                   kernels.clenshaw_batch(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
     if len(exact):
         roots = np.concatenate([roots, exact])
     return np.sort(roots)
@@ -154,19 +142,6 @@ def sobolev_zeros(setup, n):
     return ZeroSet(n=n, zeros=roots[::-1].copy())
 
 
-def scaled_zeros(setup, n, count):
-    """Endpoint scaling n*sqrt(2(1-y)) of the `count` largest interior zeros."""
-    count = int(count)
-    if count < 1 or count > int(n):
-        raise ValueError("count must be in 1..n")
-    zs = sobolev_zeros(setup, n)
-    outside = float(zs.zeros[0]) if zs.zeros[0] > 1.0 else None
-    interior = zs.zeros[zs.zeros <= 1.0][:count]
-    # descending zeros map to increasing scaled values
-    vals = n * np.sqrt(2.0 * (1.0 - interior))
-    return ScaledZeros(n=int(n), values=vals, outside=outside)
-
-
 def limit_zeros(lf, count):
     """First `count` positive zeros of the limit function."""
     count = int(count)
@@ -175,18 +150,6 @@ def limit_zeros(lf, count):
     top = _mcmahon_guess(lf.alpha, count + len(lf.b)) + 5.0
     return kernels._scan_zeros(lambda x: limit_eval(lf, x), lambda x: _limit(lf, x, True),
                                0.02, top, count)
-
-
-def largest_zero_location(setup, n):
-    """Whether the largest zero lies beyond 1 at this degree.
-
-    With a positive leading coefficient and at most one zero outside
-    [-1, 1], the largest zero exceeds 1 exactly when the polynomial is
-    negative at 1.
-    """
-    series = sobolev_polynomial(setup, int(n))
-    q1 = clenshaw_eval(series, 1.0)
-    return ZeroLocation.OUTSIDE if q1 < 0.0 else ZeroLocation.INSIDE
 
 
 @dataclass(frozen=True)
@@ -231,8 +194,8 @@ def convergence_table(setup, ns, count, zero_sets=None):
     ns = sorted(int(v) for v in ns)
     if not ns:
         raise ValueError("need at least one degree")
-    if count > ns[0]:
-        raise ValueError("count exceeds the smallest degree")
+    if not 1 <= count <= ns[0]:
+        raise ValueError("count must be in 1..min(degrees)")
     excluded = regime_excluded_count(setup)
     zero_sets = {} if zero_sets is None else zero_sets
     rows = []
@@ -245,6 +208,7 @@ def convergence_table(setup, ns, count, zero_sets=None):
         sel = sel[sel <= 1.0]
         scaled = n * np.sqrt(2.0 * (1.0 - sel))
         rows.append(TableRow(n=n, raw=raw, scaled=scaled))
-    lf = limit_coeffs(setup)
-    lim = limit_zeros(lf, count - excluded)
+    # when the excluded zero is the only one asked for, the limit row is empty
+    lim = (limit_zeros(limit_coeffs(setup), count - excluded) if count > excluded
+           else np.empty(0))
     return ConvergenceTable(count=count, excluded=excluded, rows=rows, limit=lim)

@@ -20,7 +20,7 @@ from sobolev_mh import verify as verify_mod
 from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import connection_coeffs
-from sobolev_mh.zeros import ZeroLocation, convergence_table, largest_zero_location
+from sobolev_mh.zeros import convergence_table, sobolev_zeros
 
 FAST_DEGREES = (150, 250)
 
@@ -104,7 +104,7 @@ def test_criterion_2_degree_500():
 
 def test_criterion_3_outside_and_limit(fast_tables):
     tables, _ = fast_tables
-    assert largest_zero_location(SETUPS["subcritical"], 250) is ZeroLocation.OUTSIDE
+    assert sobolev_zeros(SETUPS["subcritical"], 250).outside_count == 1
     tb = tables["subcritical"]
     y1 = next(r for r in tb.rows if r.n == 250).raw[0]
     assert y1 > 1.0
@@ -176,8 +176,7 @@ def test_criterion_4_limit_row_literal(fast_tables):
 
 def test_criterion_5_outside_fact(fast_tables):
     tables, _ = fast_tables
-    assert largest_zero_location(SETUPS["critical-big-mass"], 150) \
-        is ZeroLocation.OUTSIDE
+    assert sobolev_zeros(SETUPS["critical-big-mass"], 150).outside_count == 1
     tb = tables["critical-big-mass"]
     y1 = next(r for r in tb.rows if r.n == 150).raw[0]
     assert y1 > 1.0

@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sobolev_mh
 from sobolev_mh import golden, verify as verify_mod, zeros as zeros_mod
 from sobolev_mh.cli import main
-from sobolev_mh.config import parse_config, serialize_config
+from sobolev_mh.config import parse_config
 from sobolev_mh.errors import ConfigError
 from sobolev_mh.jacobi import clenshaw_eval, deriv_at_one, norm2
 from sobolev_mh.presets import SETUPS, get_preset, preset_names
 from sobolev_mh.sobolev import (
+    _series_coeffs,
     connection_reconstruct,
     mass,
     q_deriv_at_one,
@@ -36,20 +38,12 @@ csv = legendre.csv
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = parse_config(LEGENDRE_CFG)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-        assert parse_config(serialize_config(again)) == again
-
     def test_exact_rationals_survive(self):
         text = LEGENDRE_CFG.replace("alpha = 0", "alpha = -9/10").replace(
             "gamma = 2", "gamma = 61/5")
         cfg = parse_config(text)
         assert cfg.setup.params.alpha == Fraction(-9, 10)
         assert cfg.setup.mass.gamma == Fraction(61, 5)
-        cfg2 = parse_config(serialize_config(cfg))
-        assert cfg2.setup.params.alpha == Fraction(-9, 10)
 
     def test_unknown_key_reports_line(self):
         bad = LEGENDRE_CFG.replace("zero_count = 4", "zero_counts = 4")
@@ -84,7 +78,6 @@ class TestConfig:
             "mass = custom\nM = 0\ncustom_values = 1:0.5 2:0.25")
         cfg = parse_config(text)
         assert cfg.setup.mass.custom_values == {1: 0.5, 2: 0.25}
-        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_preset_names_resolve(self):
         for name in preset_names():
@@ -102,6 +95,12 @@ class TestConfig:
             "critical-small-mass", "subcritical", "supercritical"]
         for tid, table in golden.TABLES.items():
             assert get_preset(tid).setup is SETUPS[table.experiment]
+
+
+def test_exports_resolve_once():
+    assert len(set(sobolev_mh.__all__)) == len(sobolev_mh.__all__)
+    for name in sobolev_mh.__all__:
+        assert hasattr(sobolev_mh, name), name
 
 
 def _write_cfg(tmp_path, text):
@@ -136,6 +135,22 @@ class TestCliTables:
         main(["tables", "--config", cfg, "--out", str(tmp_path), "--full-precision"])
         header = (tmp_path / "legendre.csv").read_text().splitlines()[0]
         assert header.endswith("raw_zero_full,scaled_zero_full")
+
+    def test_only_excluded_zero_requested(self, tmp_path, capsys):
+        # subcritical: the largest zero is excluded from the scaled rows, so
+        # with zero_count = 1 there is no scaled zero and no limit row
+        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 3")
+                .replace("beta = 0", "beta = -1/2").replace("gamma = 2", "gamma = 4")
+                .replace("M = 0", "M = 7/2").replace("degrees = 10", "degrees = 150")
+                .replace("zero_count = 4", "zero_count = 1"))
+        cfg = _write_cfg(tmp_path, text)
+        assert main(["tables", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "legendre.csv").read_text().splitlines()
+        assert len(lines) == 2
+        rec = lines[1].split(",")
+        assert rec[:3] == ["legendre-check", "150", "1"] and float(rec[3]) > 1.0
+        assert rec[4:] == ["", "", ""]
 
     def test_env_overrides_out(self, tmp_path, monkeypatch):
         sub = tmp_path / "env-dir"
@@ -289,6 +304,18 @@ class TestCliErrors:
         assert err.startswith("numeric failure: found 9 of 10 zeros")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("job", ["limits", "tables"])
+    def test_overflow_is_one_line(self, tmp_path, capsys, job):
+        # critical at alpha = 100: the constant G of the limit coefficients
+        # is above the double range
+        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 100").replace("j = 3", "j = 0")
+                .replace("gamma = 2", "gamma = 202").replace("M = 0", "M = 1"))
+        cfg = _write_cfg(tmp_path, text)
+        assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert len(err.splitlines()) == 1
+
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--threads", "2"])
@@ -328,7 +355,7 @@ class TestVerifyJob:
     @pytest.mark.parametrize("name", sorted(SETUPS))
     def test_stacked_checks_equal_degree_loops(self, name):
         setup = SETUPS[name]
-        stack = verify_mod._series_stack(setup, 100)
+        stack = _series_coeffs(setup, np.arange(101))
         assert verify_mod._orthogonality_worst(setup, stack) == _orthogonality_loop(setup, 100)
         assert (verify_mod._reconstruct_worst(setup, stack, 60)
                 == _reconstruct_loop(setup, 60))

@@ -15,7 +15,6 @@ from sobolev_mh.jacobi import (
     jacobi_eval,
     norm2,
     scaled_eval,
-    value_at_one,
 )
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import sobolev_polynomial
@@ -42,8 +41,7 @@ class TestEval:
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (3.0, 1.0), (-0.9, -0.9), (3.0, -0.5)])
     def test_value_at_one_consistency(self, n, ab):
         p = JacobiParams(*ab)
-        assert jacobi_eval(n, p, 1.0) == pytest.approx(value_at_one(n, ab[0]),
-                                                       rel=1e-12)
+        assert jacobi_eval(n, p, 1.0) == pytest.approx(deriv_at_one(n, 0, p), rel=1e-12)
 
 
 # the presets' (alpha, beta) pairs, Legendre and a large pair
@@ -59,9 +57,10 @@ def test_eval_matches_scipy_oracle(n, ab):
 
 class TestValueAtOne:
     def test_examples(self):
-        assert value_at_one(0, 1.7) == pytest.approx(1.0, rel=1e-14)
-        assert value_at_one(2, 3.0) == pytest.approx(10.0, rel=1e-13)
-        assert value_at_one(5, 0.0) == pytest.approx(1.0, rel=1e-13)
+        # P_n(1) = C(n+a, n), whatever beta
+        assert deriv_at_one(0, 0, JacobiParams(1.7, 0.4)) == pytest.approx(1.0, rel=1e-14)
+        assert deriv_at_one(2, 0, JacobiParams(3.0, -0.5)) == pytest.approx(10.0, rel=1e-13)
+        assert deriv_at_one(5, 0, P01) == pytest.approx(1.0, rel=1e-13)
 
 
 def _central_stencil(n, k, p, h):
@@ -89,8 +88,9 @@ _FD_H = {1: 1e-5, 2: 1e-4, 3: 3e-4, 4: 4e-4}
 class TestDerivAtOne:
     def test_order_zero_is_value(self):
         p = JacobiParams(1.2, -0.3)
+        # the value at 1 does not depend on beta
         for n in (0, 4, 33):
-            assert deriv_at_one(n, 0, p) == value_at_one(n, 1.2)
+            assert deriv_at_one(n, 0, p) == deriv_at_one(n, 0, JacobiParams(1.2, 0.0))
 
     def test_above_degree_vanishes(self):
         assert deriv_at_one(3, 4, P01) == 0.0
@@ -273,7 +273,8 @@ class TestScaledEval:
     def test_at_zero_argument(self):
         for n in (50, 400):
             got = scaled_eval(_unit(n, JacobiParams(3.0, 1.0)), 0.0)
-            assert got == pytest.approx(n ** -3.0 * value_at_one(n, 3.0), rel=1e-12)
+            assert got == pytest.approx(
+                n ** -3.0 * deriv_at_one(n, 0, JacobiParams(3.0, 1.0)), rel=1e-12)
         # limit of the scaled endpoint value is 1/Gamma(alpha+1)
         assert scaled_eval(_unit(4000, JacobiParams(3.0, 1.0)), 0.0) == pytest.approx(
             1.0 / math.exp(log_gamma(4.0)), rel=2e-3)

@@ -8,7 +8,7 @@ from scipy.special import jn_zeros, jv
 
 from mp_oracle import besselj as mp_besselj
 
-from sobolev_mh.special_functions import bessel_j, bessel_j_zero, gamma_ratio, log_gamma
+from sobolev_mh.special_functions import bessel_j, bessel_j_zero, log_gamma
 
 mp.mp.dps = 30
 
@@ -39,34 +39,6 @@ class TestLogGamma:
         rhs = (log_gamma(x) + log_gamma(x + 0.5)
                - (1.0 - 2.0 * x) * math.log(2.0) - 0.5 * math.log(math.pi))
         assert abs(math.expm1(lhs - rhs)) <= 1e-12
-
-
-class TestGammaRatio:
-    def test_consecutive_integers(self):
-        assert gamma_ratio(10, 1, 0) == pytest.approx(10.0, rel=1e-13)
-
-    def test_identity(self):
-        for n in (0.5, 3, 170, 1e5):
-            assert gamma_ratio(n, 1.3, 1.3) == 1.0
-
-    def test_stirling_trend(self):
-        # Gamma(n+3)/Gamma(n+1) = (n+1)(n+2) exactly; n^(b-a) * ratio -> 1.
-        # The log-space route carries ~|ln Gamma| * eps absolute error in the
-        # exponent, hence the e-10 comparison.
-        n = 1.0e4
-        exact = (n + 1.0) * (n + 2.0)
-        assert gamma_ratio(n, 3, 1) == pytest.approx(exact, rel=1e-10)
-        assert abs(n ** (1 - 3) * gamma_ratio(n, 3, 1) - 1.0) <= 1e-3
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_ratio(0, -2, 1)
-
-    @given(st.floats(1.0, 1e5), st.floats(-0.9, 8.0), st.floats(-0.9, 8.0))
-    @settings(max_examples=50, deadline=None)
-    def test_inverse_product(self, n, a, b):
-        assert gamma_ratio(n, a, b) * gamma_ratio(n, b, a) == pytest.approx(
-            1.0, rel=1e-13)
 
 
 class TestBesselJ:

@@ -20,14 +20,11 @@ from sobolev_mh.jacobi import JacobiParams, clenshaw_eval, derivative_series
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.zeros import (
-    ZeroLocation,
     _bracket_grid,
     _brackets,
     convergence_table,
-    largest_zero_location,
     limit_zeros,
     regime_excluded_count,
-    scaled_zeros,
     sobolev_zeros,
 )
 
@@ -89,19 +86,19 @@ def _counted_refine(setup, n, monkeypatch):
     assert len(lo) == n and len(exact) == 0
 
     passes = 0
-    clenshaw = kernels._clenshaw_numpy
+    clenshaw = kernels.clenshaw_batch
 
     def counted(*args):
         nonlocal passes
         passes += 1
         return clenshaw(*args)
 
-    monkeypatch.setattr(kernels, "_clenshaw_numpy", counted)
+    monkeypatch.setattr(kernels, "clenshaw_batch", counted)
     # the (Q, Q') closure the zero extraction passes; it looks the Clenshaw
     # kernel up at call time, so each pass is counted
     roots = kernels.refine_brackets(
-        lambda x: (kernels._clenshaw_numpy(series.coeffs, A, B, C, x),
-                   kernels._clenshaw_numpy(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
+        lambda x: (kernels.clenshaw_batch(series.coeffs, A, B, C, x),
+                   kernels.clenshaw_batch(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
     monkeypatch.undo()
     return roots, lo, hi, passes
 
@@ -281,21 +278,22 @@ class TestZeroSetShape:
 
 
 class TestScaledZeros:
+    # the scaled zeros are the rows of convergence_table
     def test_increasing_and_outside_reported(self, subcritical):
-        sc = scaled_zeros(subcritical, 250, 3)
-        assert np.all(np.diff(sc.values) > 0)
-        assert sc.outside is not None and sc.outside > 1.0
+        row = convergence_table(subcritical, [250], 4).rows[0]
+        assert len(row.scaled) == 3 and np.all(np.diff(row.scaled) > 0)
+        assert row.raw[0] > 1.0
 
     def test_reference_row(self, supercritical):
-        sc = scaled_zeros(supercritical, 250, 4)
         np.testing.assert_allclose(
-            sc.values, TRUE_TABLES["supercritical"]["scaled"][250], atol=1e-6)
+            convergence_table(supercritical, [250], 4).rows[0].scaled,
+            TRUE_TABLES["supercritical"]["scaled"][250], atol=1e-6)
 
     def test_count_validation(self, supercritical):
         with pytest.raises(ValueError):
-            scaled_zeros(supercritical, 20, 0)
+            convergence_table(supercritical, [20], 0)
         with pytest.raises(ValueError):
-            scaled_zeros(supercritical, 20, 21)
+            convergence_table(supercritical, [20], 21)
 
 
 class TestLimitZeros:
@@ -326,22 +324,24 @@ class TestLimitZeros:
 
 class TestLargestZeroLocation:
     def test_supercritical_inside(self, supercritical):
-        assert largest_zero_location(supercritical, 250) is ZeroLocation.INSIDE
+        assert sobolev_zeros(supercritical, 250).outside_count == 0
 
     def test_subcritical_outside(self, subcritical):
-        assert largest_zero_location(subcritical, 250) is ZeroLocation.OUTSIDE
+        assert sobolev_zeros(subcritical, 250).outside_count == 1
 
     def test_critical_small_mass_inside(self, critical_small):
-        assert largest_zero_location(critical_small, 150) is ZeroLocation.INSIDE
+        assert sobolev_zeros(critical_small, 150).outside_count == 0
 
     def test_critical_big_mass_outside(self, critical_big):
-        assert largest_zero_location(critical_big, 150) is ZeroLocation.OUTSIDE
+        assert sobolev_zeros(critical_big, 150).outside_count == 1
 
     def test_agrees_with_full_zero_set(self, tabulated_setup):
+        # with a positive leading coefficient the largest zero exceeds 1
+        # exactly when the polynomial is negative at 1
         n = 150
         zs = sobolev_zeros(tabulated_setup, n)
-        loc = largest_zero_location(tabulated_setup, n)
-        assert (loc is ZeroLocation.OUTSIDE) == (zs.zeros[0] > 1.0)
+        q1 = clenshaw_eval(sobolev_polynomial(tabulated_setup, n), 1.0)
+        assert (q1 < 0.0) == (zs.zeros[0] > 1.0) == (zs.outside_count == 1)
 
     def test_matches_mass_threshold_rule(self, critical_small, critical_big):
         # knife-edge regime: escape iff the mass limit exceeds the threshold
