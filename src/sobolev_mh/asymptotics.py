@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jacobi import JacobiParams, solve_connection
+from .jacobi import _LOG_MAX, JacobiParams, solve_connection
 from .sobolev import MassKind, MassSequence, SobolevSetup
 from .special_functions import _bessel_z, log_gamma
 
@@ -64,11 +64,14 @@ def classify_regime(gamma, alpha, j):
     return Regime(kind=kind, threshold=threshold)
 
 
-def _G(a, b, j):
-    # G = Gamma(a+j+1)^2 2^(a+b+2j+1) (a+2j+1); OverflowError where it is
-    # not a double (alpha = 100 at j = 0)
-    return math.exp(2.0 * log_gamma(a + j + 1.0)
-                    + (a + b + 2.0 * j + 1.0) * math.log(2.0)) * (a + 2.0 * j + 1.0)
+def _G(a, b, j, what="the limit constant G", factor=1.0):
+    # G = Gamma(a+j+1)^2 2^(a+b+2j+1) (a+2j+1); an OverflowError naming
+    # ``what`` where G times ``factor`` is not a double (alpha = 91 at j = 0)
+    log_g = 2.0 * log_gamma(a + j + 1.0) + (a + b + 2.0 * j + 1.0) * math.log(2.0)
+    if log_g + math.log((a + 2.0 * j + 1.0) * factor) > _LOG_MAX:
+        raise OverflowError(f"{what} is above the double range at alpha = {a:g}, "
+                            f"beta = {b:g}, j = {j}")
+    return math.exp(log_g) * (a + 2.0 * j + 1.0)
 
 
 def critical_mass_threshold(alpha, beta, j):
@@ -78,7 +81,8 @@ def critical_mass_threshold(alpha, beta, j):
     if j < 1:
         raise ValueError("threshold needs a positive derivative order")
     a = float(alpha)
-    return _G(a, float(beta), j) * (a + j + 1.0) / j
+    G = _G(a, float(beta), j, "the critical mass threshold", (a + j + 1.0) / j)
+    return G * (a + j + 1.0) / j
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,8 @@ def limit_coeffs(setup):
             return (i - j) / (a + j + i + 1.0)
     else:
         M = setup.mass.m
-        if M < 0.0:
-            raise ValueError("critical regime requires a nonnegative mass limit")
-        G = _G(a, p.b, j)
+        # lead multiplies G by up to a + 2j + 2
+        G = _G(a, p.b, j, factor=a + 2.0 * j + 2.0)
 
         def lead(i):
             return (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))

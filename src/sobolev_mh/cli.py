@@ -52,66 +52,55 @@ def atomic_write_text(path, text):
 # job implementations
 # ---------------------------------------------------------------------------
 
+def _csv(header, full_header, records, full):
+    """CSV text of ``records``, each (label: the leading cells joined, values,
+    full-precision values); with ``full`` one ``full_header`` column each."""
+    lines = [header + full_header if full else header]
+    for label, values, full_values in records:
+        cells = [label]
+        # append loops: a comprehension costs a call per record
+        for v in values:
+            cells.append(_fmt(v))
+        if full:
+            for v in full_values:
+                cells.append(_fmt(v, True))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def _csv_tables(cfg, full_precision):
     tb = convergence_table(cfg.setup, cfg.degrees, cfg.zero_count)
-    ex = tb.excluded
-    header = ["experiment_id", "n", "index", "raw_zero", "scaled_zero", "limit",
-              "abs_error"]
-    if full_precision:
-        header += ["raw_zero_full", "scaled_zero_full"]
-    lines = [",".join(header)]
+    records = []
     for row in tb.rows:
-        for i in range(cfg.zero_count):
-            raw = row.raw[i]
-            pos = i - ex
+        for i, raw in enumerate(row.raw):
+            pos = i - tb.excluded
             scaled = row.scaled[pos] if 0 <= pos < len(row.scaled) else None
             lim = tb.limit[pos] if 0 <= pos < len(tb.limit) else None
             err = abs(scaled - lim) if scaled is not None and lim is not None else None
-            rec = [cfg.id, str(row.n), str(i + 1), _fmt(raw), _fmt(scaled),
-                   _fmt(lim), _fmt(err)]
-            if full_precision:
-                rec += [_fmt(raw, True), _fmt(scaled, True)]
-            lines.append(",".join(rec))
-    for pos, lim in enumerate(tb.limit):
-        rec = [cfg.id, "limit", str(pos + 1), "", "", _fmt(lim), ""]
-        if full_precision:
-            rec += ["", ""]
-        lines.append(",".join(rec))
-    return ("\n".join(lines) + "\n",)
+            records.append((f"{cfg.id},{row.n},{i + 1}", (raw, scaled, lim, err),
+                            (raw, scaled)))
+    records += [(f"{cfg.id},limit,{pos + 1}", (None, None, lim, None), (None, None))
+                for pos, lim in enumerate(tb.limit)]
+    return (_csv("experiment_id,n,index,raw_zero,scaled_zero,limit,abs_error",
+                 ",raw_zero_full,scaled_zero_full", records, full_precision),)
 
 
 def _csv_zeros(cfg, full_precision):
-    lines = ["experiment_id,n,index,zero" + (",zero_full" if full_precision else "")]
-    for n in cfg.degrees:
-        zs = sobolev_zeros(cfg.setup, n)
-        for i, z in enumerate(zs.zeros, start=1):
-            rec = f"{cfg.id},{n},{i},{_fmt(z)}"
-            if full_precision:
-                rec += f",{_fmt(z, True)}"
-            lines.append(rec)
-    return ("\n".join(lines) + "\n",)
+    # tolist: a Python float formats faster than a numpy scalar, same text
+    records = ((f"{cfg.id},{n},{i}", (z,), (z,)) for n in cfg.degrees
+               for i, z in enumerate(sobolev_zeros(cfg.setup, n).zeros.tolist(), start=1))
+    return (_csv("experiment_id,n,index,zero", ",zero_full", records, full_precision),)
 
 
 def _csv_limits(cfg, full_precision):
     lf = limit_coeffs(cfg.setup)
-    regime = lf.regime
-    zs = limit_zeros(lf, cfg.zero_count)
-    lines = ["experiment_id,kind,index,value" + (",value_full" if full_precision else "")]
-
-    def add(kind, idx, v):
-        rec = f"{cfg.id},{kind},{idx},{_fmt(v)}"
-        if full_precision:
-            rec += f",{_fmt(v, True)}"
-        lines.append(rec)
-
-    lines.append(f"{cfg.id},regime,0,{regime.kind.value}"
-                 + ("," if full_precision else ""))
-    add("threshold", 0, float(regime.threshold))
-    for i, b in enumerate(lf.b):
-        add("coeff", i, b)
-    for i, z in enumerate(zs, start=1):
-        add("zero", i, z)
-    return ("\n".join(lines) + "\n",)
+    values = [("threshold", 0, float(lf.regime.threshold))]
+    values += [("coeff", i, b) for i, b in enumerate(lf.b)]
+    values += [("zero", i, z)
+               for i, z in enumerate(limit_zeros(lf, cfg.zero_count), start=1)]
+    records = [(f"{cfg.id},regime,0,{lf.regime.kind.value}", (), (None,))]
+    records += [(f"{cfg.id},{kind},{i}", (v,), (v,)) for kind, i, v in values]
+    return (_csv("experiment_id,kind,index,value", ",value_full", records, full_precision),)
 
 
 def _mh_curve(cfg, full_precision):
@@ -145,11 +134,10 @@ def _run_verify(args, out_dir):
     n_pass = sum(1 for c in result.cells if c.status == "pass")
     n_flag = sum(1 for c in result.cells if c.status == "flagged")
     fails = [c for c in result.cells if c.status == "fail"]
-    for c in result.cells:
-        if c.status == "fail":
-            print(f"FAIL {c.table} n={c.n} col={c.position + 1} "
-                  f"ref={_fmt(c.reference)} got={_fmt(c.computed)} "
-                  f"|err|={c.abs_err:.2e} > {c.tol:.0e}")
+    for c in fails:
+        print(f"FAIL {c.table} n={c.n} col={c.position + 1} "
+              f"ref={_fmt(c.reference)} got={_fmt(c.computed)} "
+              f"|err|={c.abs_err:.2e} > {c.tol:.0e}")
     for c in result.cells:
         if c.status == "flagged":
             print(f"NOTE {c.table} n={c.n} col={c.position + 1} "
@@ -204,14 +192,12 @@ def main(argv=None):
             return _run_verify(args, out_dir)
         if args.preset:
             cfg = get_preset(args.preset)
-            cfg = replace(cfg, job=args.job)
         elif args.config:
             with open(args.config) as f:
                 cfg = parse_config(f.read())
-            if cfg.job != args.job:
-                cfg = replace(cfg, job=args.job)
         else:
             raise ConfigError(f"job '{args.job}' needs --preset or --config")
+        cfg = replace(cfg, job=args.job)
 
         writer, suffix = _WRITERS[args.job]
         names = (cfg.csv_path or f"{cfg.id}_{suffix}.csv",

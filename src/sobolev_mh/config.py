@@ -1,6 +1,6 @@
 """Flat key-value experiment configuration with exact rational fields.
 
-Format: two sections, ``[experiment]`` and ``[output]``, one ``key = value``
+Format: the two sections of ``_FIELDS`` and their keys, one ``key = value``
 per line, ``#`` comments.  Rational fields (alpha, beta, gamma, M) accept
 ``p/q`` strings and decimal literals and are kept exact, so knife-edge
 regime comparisons are exact.
@@ -15,10 +15,6 @@ from .jacobi import JacobiParams
 from .sobolev import MassKind, MassSequence, SobolevSetup
 
 JOBS = ("tables", "zeros", "mh-curve", "limits", "verify")
-
-_EXPERIMENT_KEYS = {"id", "job", "alpha", "beta", "j", "gamma", "mass", "M",
-                    "degrees", "zero_count", "custom_values", "x_max", "points"}
-_OUTPUT_KEYS = {"csv", "svg"}
 
 
 @dataclass(frozen=True)
@@ -57,111 +53,91 @@ class ExperimentConfig:
                               f"{2 * self.degrees[0]}")
 
 
-def _parse_fraction(raw, key, lineno):
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"line {lineno}: field '{key}' is not a rational: {raw!r}")
+def _job(raw):
+    if raw not in JOBS:
+        raise ValueError(raw)
+    return raw
+
+
+def _integers(raw):
+    return tuple(int(d) for d in raw.replace(",", " ").split())
+
+
+def _custom_values(raw):
+    # a piece without exactly one ':' fails to unpack with a ValueError
+    pairs = [piece.split(":") for piece in raw.replace(",", " ").split()]
+    return {int(n): float(Fraction(v)) for n, v in pairs}
+
+
+def _path(raw):
+    return None if raw in ("none", "") else raw
+
+
+_REQUIRED = object()
+# section -> key -> (parser, what a value must be, default or _REQUIRED); a
+# parser signals a bad value by ValueError or ArithmeticError
+_FIELDS = {
+    "experiment": {
+        "id": (str, "text", _REQUIRED),
+        "job": (_job, "one of " + ", ".join(JOBS), _REQUIRED),
+        "alpha": (Fraction, "a rational", _REQUIRED),
+        "beta": (Fraction, "a rational", _REQUIRED),
+        "j": (int, "an integer", _REQUIRED),
+        "gamma": (Fraction, "a rational", _REQUIRED),
+        "mass": (MassKind, "one of " + ", ".join(k.value for k in MassKind), _REQUIRED),
+        "M": (Fraction, "a rational", Fraction(0)),
+        "custom_values": (_custom_values, "a list of n:value pairs", None),
+        "degrees": (_integers, "a list of integers", _REQUIRED),
+        "zero_count": (int, "an integer", 4),
+        "x_max": (float, "a number", 18.0),
+        "points": (int, "an integer", 361),
+    },
+    "output": {
+        "csv": (_path, "a path", None),
+        "svg": (_path, "a path", None),
+    },
+}
 
 
 def parse_config(text):
     """Parse configuration text into an ExperimentConfig."""
     section = None
-    seen = {}
-    lines = {}
+    v = {}  # key -> parsed value; the keys of the two sections are distinct
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("experiment", "output"):
+            if section not in _FIELDS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        allowed = _EXPERIMENT_KEYS if section == "experiment" else _OUTPUT_KEYS
-        if key not in allowed:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
-        full = f"{section}.{key}"
-        if full in seen:
+        if key in v:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        seen[full] = value
-        lines[full] = lineno
-
-    def need(full):
-        if full not in seen:
-            raise ConfigError(f"missing required field '{full}'")
-        return seen[full]
-
-    def lno(full):
-        return lines.get(full, 0)
-
-    job = need("experiment.job")
-    cfg_id = need("experiment.id")
-    alpha = _parse_fraction(need("experiment.alpha"), "alpha", lno("experiment.alpha"))
-    beta = _parse_fraction(need("experiment.beta"), "beta", lno("experiment.beta"))
-    gamma = _parse_fraction(need("experiment.gamma"), "gamma", lno("experiment.gamma"))
-    M = _parse_fraction(seen.get("experiment.M", "0"), "M", lno("experiment.M"))
+        parse, what, _ = _FIELDS[section][key]
+        try:
+            v[key] = parse(value)
+        except (ValueError, ArithmeticError):
+            raise ConfigError(f"line {lineno}: field '{key}' is not {what}: {value!r}")
+    for section, fields in _FIELDS.items():
+        for key, (_, _, default) in fields.items():
+            if v.setdefault(key, default) is _REQUIRED:
+                raise ConfigError(f"missing required field '{section}.{key}'")
+    # the table is validated for every family but belongs only to a custom one
+    custom = v["custom_values"] if v["mass"] is MassKind.CUSTOM else None
     try:
-        j = int(need("experiment.j"))
-    except ValueError:
-        raise ConfigError(f"line {lno('experiment.j')}: field 'j' must be an integer")
-    kind_raw = need("experiment.mass")
-    try:
-        kind = MassKind(kind_raw)
-    except ValueError:
-        choices = ", ".join(k.value for k in MassKind)
-        raise ConfigError(f"line {lno('experiment.mass')}: unknown mass family "
-                          f"{kind_raw!r}; expected one of: {choices}")
-    custom = None
-    if kind is MassKind.CUSTOM:
-        raw = need("experiment.custom_values")
-        custom = {}
-        for piece in raw.replace(",", " ").split():
-            if ":" not in piece:
-                raise ConfigError(f"line {lno('experiment.custom_values')}: "
-                                  f"custom_values entries are n:value, got {piece!r}")
-            k, _, v = piece.partition(":")
-            try:
-                custom[int(k)] = float(Fraction(v))
-            except ValueError:
-                raise ConfigError(f"line {lno('experiment.custom_values')}: "
-                                  f"bad custom_values entry {piece!r}")
-    degrees_raw = need("experiment.degrees").replace(",", " ").split()
-    try:
-        degrees = tuple(int(d) for d in degrees_raw)
-    except ValueError:
-        raise ConfigError(f"line {lno('experiment.degrees')}: degrees must be integers")
-    try:
-        zero_count = int(seen.get("experiment.zero_count", "4"))
-    except ValueError:
-        raise ConfigError(f"line {lno('experiment.zero_count')}: zero_count must be "
-                          "an integer")
-    try:
-        x_max = float(seen.get("experiment.x_max", "18"))
-        points = int(seen.get("experiment.points", "361"))
-    except ValueError:
-        raise ConfigError("x_max must be a number and points an integer")
-
-    def path_or_none(full):
-        v = seen.get(full, "none")
-        return None if v in ("none", "") else v
-
-    try:
-        setup = SobolevSetup(params=JacobiParams(alpha, beta), j=j,
-                             mass=MassSequence(kind=kind, M=M, gamma=gamma,
+        setup = SobolevSetup(params=JacobiParams(v["alpha"], v["beta"]), j=v["j"],
+                             mass=MassSequence(kind=v["mass"], M=v["M"], gamma=v["gamma"],
                                                custom_values=custom))
     except ValueError as e:
         raise ConfigError(str(e))
-    return ExperimentConfig(
-        id=cfg_id, job=job, setup=setup, degrees=degrees, zero_count=zero_count,
-        x_max=x_max, points=points,
-        csv_path=path_or_none("output.csv"), svg_path=path_or_none("output.svg"),
-    )
-
+    return ExperimentConfig(id=v["id"], job=v["job"], setup=setup, degrees=v["degrees"],
+                            zero_count=v["zero_count"], x_max=v["x_max"], points=v["points"],
+                            csv_path=v["csv"], svg_path=v["svg"])

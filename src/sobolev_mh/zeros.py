@@ -86,7 +86,11 @@ def _brackets(c, A, B, C, grid):
     first sign change of the ladder top + 1e-9 2^(k/8), k = 0..359, up to
     the ladder's first value that is not finite.
     """
-    vals = kernels.clenshaw_batch(c, A, B, C, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = kernels.clenshaw_batch(c, A, B, C, grid)
+    if not np.isfinite(vals).all():
+        raise NumericError(f"degree {len(c) - 1}: the series overflows a double on "
+                           f"the bracket grid")
     if vals[-1] < 0.0:
         ladder = grid[-1] + _LADDER
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import sobolev_mh
 from sobolev_mh import golden, verify as verify_mod, zeros as zeros_mod
 from sobolev_mh.cli import main
-from sobolev_mh.config import parse_config
+from sobolev_mh.config import _FIELDS, _REQUIRED, parse_config
 from sobolev_mh.errors import ConfigError
 from sobolev_mh.jacobi import clenshaw_eval, deriv_at_one, norm2
 from sobolev_mh.presets import SETUPS, get_preset, preset_names
@@ -35,6 +36,25 @@ zero_count = 4
 [output]
 csv = legendre.csv
 """
+
+# LEGENDRE_CFG with every key of config._FIELDS set
+FULL_CFG = LEGENDRE_CFG.replace(
+    "zero_count = 4", "zero_count = 4\ncustom_values = 10:1/2\nx_max = 12\npoints = 11"
+) + "svg = legendre.svg\n"
+# a value that each field's parser rejects; id, csv and svg take any text
+BAD_VALUES = {
+    "job": "tabels", "alpha": "threeish", "beta": "1/0", "j": "3.5", "gamma": "two",
+    "mass": "heavy", "M": "1e", "custom_values": "10=1/2", "degrees": "10 twenty",
+    "zero_count": "four", "x_max": "far", "points": "11.5",
+}
+FREE_TEXT = ("id", "csv", "svg")
+
+
+def _plain_cfg(alpha, gamma, degrees=10):
+    # derivative order 0 and the plain mass with M = 1
+    return (LEGENDRE_CFG.replace("alpha = 0", f"alpha = {alpha}").replace("j = 3", "j = 0")
+            .replace("gamma = 2", f"gamma = {gamma}").replace("M = 0", "M = 1")
+            .replace("degrees = 10", f"degrees = {degrees}"))
 
 
 class TestConfig:
@@ -79,6 +99,35 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg.setup.mass.custom_values == {1: 0.5, 2: 0.25}
 
+    def test_every_key_is_set_or_rejected(self):
+        keys = [k for fields in _FIELDS.values() for k in fields]
+        assert sorted(keys) == sorted([*BAD_VALUES, *FREE_TEXT])
+        cfg = parse_config(FULL_CFG)
+        assert (cfg.x_max, cfg.points, cfg.svg_path) == (12.0, 11, "legendre.svg")
+        # a valid table on a plain mass is checked but not kept in the setup
+        assert cfg.setup == parse_config(LEGENDRE_CFG).setup
+        assert hash(cfg.setup) == hash(parse_config(LEGENDRE_CFG).setup)
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_names_line_and_field(self, key):
+        lines = FULL_CFG.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith(f"{key} = "))
+        lines[lineno - 1] = f"{key} = {BAD_VALUES[key]}"
+        with pytest.raises(ConfigError) as info:
+            parse_config("\n".join(lines))
+        msg = str(info.value)
+        assert msg.startswith(f"line {lineno}: field '{key}' is not ")
+        assert msg.endswith(f": '{BAD_VALUES[key]}'") and "\n" not in msg
+
+    def test_omitted_optional_keys_take_defaults(self):
+        text = "\n".join(line for line in LEGENDRE_CFG.splitlines()
+                         if not line.startswith(("M =", "zero_count =", "[output]", "csv =")))
+        cfg = parse_config(text)
+        assert cfg.setup.mass.M == 0 and cfg.setup.mass.custom_values is None
+        assert (cfg.zero_count, cfg.x_max, cfg.points) == (4, 18.0, 361)
+        assert cfg.csv_path is None and cfg.svg_path is None
+
     def test_preset_names_resolve(self):
         for name in preset_names():
             assert get_preset(name).setup.params.alpha > -1
@@ -95,6 +144,17 @@ class TestConfig:
             "critical-small-mass", "subcritical", "supercritical"]
         for tid, table in golden.TABLES.items():
             assert get_preset(tid).setup is SETUPS[table.experiment]
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    part = readme.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in part.splitlines() if line.startswith("| `")]
+    assert [(r[1], r[0].strip("`"), r[3] == "required") for r in rows] == [
+        (section, key, default is _REQUIRED)
+        for section, fields in _FIELDS.items()
+        for key, (_, _, default) in fields.items()]
 
 
 def test_exports_resolve_once():
@@ -172,10 +232,7 @@ class TestCliOtherJobs:
 
     def test_high_alpha_zeros_job(self, tmp_path, capsys):
         # alpha = 100, n = 3000: the kernel sums overflowed in linear space
-        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 100").replace("j = 3", "j = 0")
-                .replace("gamma = 2", "gamma = 1").replace("M = 0", "M = 1")
-                .replace("degrees = 10", "degrees = 3000"))
-        cfg = _write_cfg(tmp_path, text)
+        cfg = _write_cfg(tmp_path, _plain_cfg(100, 1, 3000))
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         assert len((tmp_path / "legendre.csv").read_text().splitlines()) == 1 + 3000
@@ -187,6 +244,16 @@ class TestCliOtherJobs:
         assert rc == 0
         text = (tmp_path / "lim.csv").read_text()
         assert "regime" in text and "coeff" in text and "zero" in text
+
+    @pytest.mark.parametrize("full", [[], ["--full-precision"]])
+    @pytest.mark.parametrize("job", ["tables", "zeros", "limits"])
+    def test_every_row_has_the_header_columns(self, tmp_path, job, full):
+        # subcritical at j = 3: blank scaled cells, limit rows, a regime row
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG)
+        assert main([job, "--config", cfg, "--out", str(tmp_path), *full]) == 0
+        lines = (tmp_path / "legendre.csv").read_text().splitlines()
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
+        assert lines[0].endswith("_full") == bool(full)
 
     def test_mh_curve_files(self, tmp_path):
         text = LEGENDRE_CFG.replace("degrees = 10", "degrees = 40 80").replace(
@@ -274,6 +341,8 @@ class TestCliErrors:
         ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = 100000"),
         ("mh-curve", "zero_count = 4", "zero_count = 4\nx_max = 1e308"),
         ("mh-curve", "degrees = 10", "degrees = 150 500\nx_max = 300.5"),
+        ("tables", "mass = plain", "mass = custom"),
+        ("zeros", "M = 0", "M = 0\ncustom_values = 10=1/2"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
@@ -304,17 +373,28 @@ class TestCliErrors:
         assert err.startswith("numeric failure: found 9 of 10 zeros")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("job", ["limits", "tables"])
+    @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables"])
     def test_overflow_is_one_line(self, tmp_path, capsys, job):
-        # critical at alpha = 100: the constant G of the limit coefficients
-        # is above the double range
-        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 100").replace("j = 3", "j = 0")
-                .replace("gamma = 2", "gamma = 202").replace("M = 0", "M = 1"))
-        cfg = _write_cfg(tmp_path, text)
-        assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure: ")
-        assert len(err.splitlines()) == 1
+        # critical: the constant G of the limit coefficients is above the
+        # double range, at alpha = 91 only once multiplied by alpha + 2
+        for alpha in (91, 100):
+            cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 2 * (alpha + 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
+            assert capsys.readouterr().err == (
+                f"numeric failure: the limit constant G is above the double range "
+                f"at alpha = {alpha}, beta = 0, j = 0\n")
+
+    def test_grid_overflow_is_one_line(self, tmp_path, capsys):
+        # alpha = 300, n = 3000: P_n(1) is above the double range, so the
+        # series overflows on the bracket grid
+        cfg = _write_cfg(tmp_path, _plain_cfg(300, 1, 3000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: degree 3000: the series "
+                                           "overflows a double on the bracket grid\n")
 
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit):
