@@ -3,12 +3,11 @@
 The scaled polynomials n^(-alpha) Q_n(1 - x^2/(2n^2)) converge to a short
 combination of Bessel functions whose coefficients depend on how the mass
 exponent gamma compares with 2(alpha + 2j + 1).  The coefficient recursion
-is one triangular solve, parameterized by its leading fraction; the
-critical and subcritical cases differ only there.
-
-The critical-case leading fraction is the derivative-ratio limit
+is one triangular solve on the leading fraction (derivative-ratio limit)
   (M (i - j) + G (alpha + j + i + 1)) / ((alpha + j + i + 1) (M + G)),
-  G = Gamma(alpha+j+1)^2 2^(alpha+beta+2j+1) (alpha+2j+1).
+  G = Gamma(alpha+j+1)^2 2^(alpha+beta+2j+1) (alpha+2j+1),
+with M = lim M_n n^gamma (``MassSequence.m``) when critical and
+(M, G) = (1, 0) when subcritical; supercritical, or M = 0, is classical.
 Its sign structure is pinned by exact finite-degree computation (the
 coefficients are limits of connection_coeffs, see the test suite), which
 settles the sign of the G term in the numerator.
@@ -116,16 +115,18 @@ def limit_coeffs(setup):
         b = np.zeros(j + 2)
         b[0] = 1.0
         return LimitFunction(alpha=a, b=b, regime=regime)
-    if regime.kind is RegimeKind.SUBCRITICAL:
-        def lead(i):
-            return (i - j) / (a + j + i + 1.0)
-    else:
+    # subcritical: (M, G) = (1, 0), the lead fraction is (i - j) / (a + j + i + 1)
+    M, G = 1.0, 0.0
+    if regime.kind is RegimeKind.CRITICAL:
         M = setup.mass.m
-        # lead multiplies G by up to a + 2j + 2
+        # lead multiplies G, and M + G, by up to a + 2j + 2
         G = _G(a, p.b, j, factor=a + 2.0 * j + 2.0)
+        if not math.isfinite((a + 2.0 * j + 2.0) * (M + G)):
+            raise OverflowError(f"the mass limit M = {M:g} is above the double range "
+                                f"at alpha = {a:g}, j = {j}")
 
-        def lead(i):
-            return (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
+    def lead(i):
+        return (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
 
     return LimitFunction(alpha=a, b=_solve_limit_system(lead, j, a), regime=regime)
 
@@ -186,13 +187,10 @@ def order_zero_identity_residual(alpha, beta, M, x):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise ValueError("identity residual is defined for x > 0")
-    gamma_crit = Fraction(2) * (Fraction(a).limit_denominator(10**12) + 1)
-    setup = SobolevSetup(
-        params=JacobiParams(Fraction(a).limit_denominator(10**12),
-                            Fraction(b).limit_denominator(10**12)),
-        j=0,
-        mass=MassSequence(kind=MassKind.PLAIN, M=M, gamma=gamma_crit),
-    )
+    # classify_regime forms its threshold 2 (a + 2j + 1) with the same float
+    # operations, so this gamma is critical exactly
+    setup = SobolevSetup(params=JacobiParams(a, b), j=0,
+                         mass=MassSequence(kind=MassKind.PLAIN, M=M, gamma=2.0 * (a + 1.0)))
     lf = limit_coeffs(setup)
     lhs = limit_eval(lf, x)
     acoef = -2.0 * M * (a + 1.0) / (M + _G(a, b, 0))

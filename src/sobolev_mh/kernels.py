@@ -71,8 +71,6 @@ def clenshaw_batch(c, A, B, C, x):
     """
     c = np.ascontiguousarray(c, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if c.shape[-1] == 1:
-        return np.full(c.shape[:-1] + x.shape, c.reshape(c.shape[:-1] + (1,) * x.ndim))
     # recurrence arrays must extend one index past the series degree
     if np.shape(A)[-1] < c.shape[-1] + 1:
         raise ValueError("recurrence arrays must extend past the series degree")

@@ -42,11 +42,11 @@ class MassKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MassSequence:
-    """Mass sequence M_n with M_n * n^gamma -> M.
+    """Mass sequence M_n >= 0 with M_n * n^gamma -> m.
 
-    ``M`` is the limit constant; for the EXP_RATIONAL and LOG_RATIO families
-    the limit is fixed by the formula (1/2 and 7/2) and ``M`` is informative
-    only.
+    The limit ``m``, which the regime and the limit function read, is ``M``
+    for the PLAIN, POLY_RATIO and CUSTOM families; the EXP_RATIONAL and
+    LOG_RATIO formulas fix it at 1/2 and 7/2 and do not read ``M``.
     """
 
     kind: MassKind
@@ -55,15 +55,19 @@ class MassSequence:
     custom_values: dict | None = None
 
     def __post_init__(self):
-        if self.m < 0:
+        if self.M < 0:
             raise ValueError("mass limit must be nonnegative")
         if self.kind is MassKind.CUSTOM and self.custom_values is None:
             raise ValueError("custom mass sequence requires a value table")
+        if self.kind is MassKind.CUSTOM and min(self.custom_values.values(), default=0) < 0:
+            raise ValueError("custom mass values must be nonnegative")
 
     # converted once per instance: the parameters may be exact Fractions
     @cached_property
     def m(self):
-        return float(self.M)
+        # the formulas of ``mass`` fix the limit of these two families
+        return {MassKind.EXP_RATIONAL: 0.5, MassKind.LOG_RATIO: 3.5}.get(
+            self.kind, float(self.M))
 
     @cached_property
     def g(self):

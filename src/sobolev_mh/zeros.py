@@ -8,8 +8,9 @@ a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
 zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
 negative is there a zero above 1, and the ladder 1 + 1e-9 2^(k/8),
 k = 0..359, evaluated with overflow ignored, brackets it at its first sign
-change; ``ZeroSet.outside_count`` reports it.  The scaled zeros
-n sqrt(2(1 - y)) are formed only by ``convergence_table``, row by row.
+change; ``ZeroSet.outside_count`` reports it.  One pass over this grid
+brackets every zero; a set it leaves short is a ``NumericError``.  The
+scaled zeros n sqrt(2(1 - y)) are formed only by ``convergence_table``.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) are
 bracketed by a 0.02 scan from 1e-3 up to McMahon's estimate of the
@@ -128,17 +129,7 @@ def sobolev_zeros(setup, n):
     if n < 1:
         raise ValueError("zero extraction needs degree >= 1")
     series = sobolev_polynomial(setup, n)
-    grid = _bracket_grid(setup, n)
-    roots = _roots_from_grid(series, grid)
-    if len(roots) != n:
-        # one densification pass before giving up
-        dense = _sorted_distinct(np.concatenate([
-            grid,
-            0.5 * (grid[:-1] + grid[1:]),
-            0.75 * grid[:-1] + 0.25 * grid[1:],
-            0.25 * grid[:-1] + 0.75 * grid[1:],
-        ]))
-        roots = _roots_from_grid(series, dense)
+    roots = _roots_from_grid(series, _bracket_grid(setup, n))
     if len(roots) != n:
         raise NumericError(
             f"found {len(roots)} of {n} zeros for degree {n}; "

@@ -245,6 +245,30 @@ class TestCliOtherJobs:
         text = (tmp_path / "lim.csv").read_text()
         assert "regime" in text and "coeff" in text and "zero" in text
 
+    def test_log_ratio_limit_without_M(self, tmp_path):
+        # the log-ratio formula fixes its mass limit at 7/2; the config sets no M
+        text = (LEGENDRE_CFG.replace("alpha = 0", "alpha = 3").replace("beta = 0", "beta = -1/2")
+                .replace("gamma = 2", "gamma = 4").replace("mass = plain\nM = 0\n",
+                                                           "mass = log-ratio\n"))
+        assert main(["limits", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "legendre.csv").read_text().splitlines()]
+        zeros = [float(r[3]) for r in rows if r[1] == "zero"]
+        assert zeros[:3] == pytest.approx(golden.TABLES["table4"].limit, rel=1e-6)
+
+    def test_exp_rational_limit_ignores_M(self, tmp_path):
+        # critical at gamma = 2(alpha + 2j + 1); the formula's mass limit is 1/2
+        base = (LEGENDRE_CFG.replace("alpha = 0", "alpha = -9/10")
+                .replace("beta = 0", "beta = -9/10").replace("j = 3", "j = 1")
+                .replace("gamma = 2", "gamma = 21/5").replace("mass = plain\nM = 0\n",
+                                                              "mass = exp-rational\n"))
+        texts = []
+        for text in (base, base.replace("degrees", "M = 1/2\ndegrees")):
+            assert main(["limits", "--config", _write_cfg(tmp_path, text),
+                         "--out", str(tmp_path)]) == 0
+            texts.append((tmp_path / "legendre.csv").read_text())
+        assert "critical" in texts[0] and texts[0] == texts[1]
+
     @pytest.mark.parametrize("full", [[], ["--full-precision"]])
     @pytest.mark.parametrize("job", ["tables", "zeros", "limits"])
     def test_every_row_has_the_header_columns(self, tmp_path, job, full):
@@ -343,10 +367,14 @@ class TestCliErrors:
         ("mh-curve", "degrees = 10", "degrees = 150 500\nx_max = 300.5"),
         ("tables", "mass = plain", "mass = custom"),
         ("zeros", "M = 0", "M = 0\ncustom_values = 10=1/2"),
+        ("zeros", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
+        ("limits", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
-        assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
@@ -376,15 +404,20 @@ class TestCliErrors:
     @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables"])
     def test_overflow_is_one_line(self, tmp_path, capsys, job):
         # critical: the constant G of the limit coefficients is above the
-        # double range, at alpha = 91 only once multiplied by alpha + 2
-        for alpha in (91, 100):
-            cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 2 * (alpha + 1)))
+        # double range, at alpha = 91 only once multiplied by alpha + 2; at
+        # M = 1e308, M + G is a double and (alpha + 2)(M + G) is not
+        cases = [(_plain_cfg(alpha, 2 * (alpha + 1)),
+                  f"the limit constant G is above the double range at alpha = {alpha}, "
+                  f"beta = 0, j = 0") for alpha in (91, 100)]
+        cases.append((_plain_cfg(1, 4, "150 500").replace("M = 1", "M = 1e308"),
+                       "the mass limit M = 1e+308 is above the double range at alpha = 1, "
+                       "j = 0"))
+        for text, message in cases:
+            cfg = _write_cfg(tmp_path, text)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
-            assert capsys.readouterr().err == (
-                f"numeric failure: the limit constant G is above the double range "
-                f"at alpha = {alpha}, beta = 0, j = 0\n")
+            assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
     def test_grid_overflow_is_one_line(self, tmp_path, capsys):
         # alpha = 300, n = 3000: P_n(1) is above the double range, so the

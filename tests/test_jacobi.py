@@ -251,6 +251,14 @@ class TestStackedClenshaw:
         assert lone.shape == (1,)
         assert lone[0] == pair[0]
 
+    @pytest.mark.parametrize("points", [1, 7])
+    def test_degree_zero_stack_is_its_constants(self, points):
+        # the Clenshaw loop itself returns c_0 exactly at every point
+        c = np.array([[2.5], [-1e-300], [7.0]])
+        A, B, C = kernels.jacobi_recurrence(2, 0.3, 0.1)
+        got = kernels.clenshaw_batch(c, A, B, C, np.linspace(-1.0, 1.0, points))
+        np.testing.assert_array_equal(got, np.repeat(c, points, axis=1))
+
 
 @given(st.integers(0, 100), st.floats(-1.0, 1.0),
        st.floats(-0.95, 4.0), st.floats(-0.95, 4.0))

@@ -32,6 +32,13 @@ class TestMass:
         seq = MassSequence(MassKind.EXP_RATIONAL, Fraction(1, 2), 25.0)
         assert mass(seq, 50) * 50.0**25 == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("kind, limit", [(MassKind.EXP_RATIONAL, 0.5),
+                                             (MassKind.LOG_RATIO, 3.5)])
+    def test_formula_fixes_the_limit(self, kind, limit):
+        # the limit the regime and the limit function read, whatever M says
+        for M in (0, Fraction(1, 2), 9):
+            assert MassSequence(kind, M, 25).m == limit
+
     def test_poly_ratio_direct(self):
         seq = MassSequence(MassKind.POLY_RATIO, 5.0, 12.2)
         n = 250

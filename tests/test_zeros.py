@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from mp_oracle import SobolevOracle, coeff_error
 from reference_values import TRUE_TABLES
 
 from sobolev_mh import kernels
-from sobolev_mh.asymptotics import limit_coeffs
+from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
 from sobolev_mh.errors import NumericError
 from sobolev_mh.jacobi import JacobiParams, clenshaw_eval, derivative_series
 from sobolev_mh.presets import SETUPS
@@ -184,6 +185,28 @@ def _assert_zero_set(setup, n):
     assert zs.outside_count <= 1
 
 
+@pytest.mark.parametrize("alpha", [Fraction(-9, 10), 0, 3, 10])
+def test_near_critical_threshold_sweep(alpha):
+    """Every case of beta in {-1/2, 5}, j in {1, 3, 8}, critical gamma and
+    M = V {0.99, 1.01} around the threshold V finds n in {1, 20, 150}
+    zeros, at most one above 1, on the one grid pass and without a warning."""
+    for beta, j in itertools.product((Fraction(-1, 2), 5), (1, 3, 8)):
+        V = critical_mass_threshold(alpha, beta, j)
+        for factor, n in itertools.product((0.99, 1.01), (1, 20, 150)):
+            setup = SobolevSetup(JacobiParams(alpha, beta), j, MassSequence(
+                MassKind.PLAIN, factor * V, 2 * (alpha + 2 * j + 1)))
+            _assert_zero_set(setup, n)
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_degree_one_zero_is_the_linear_root(name):
+    # Q_1 = c_0 + (A_0 x + B_0): its Clenshaw derivative is the degree-0 series A_0
+    setup = SETUPS[name]
+    c = sobolev_polynomial(setup, 1).coeffs
+    A, B, _ = kernels.jacobi_recurrence(2, setup.params.a, setup.params.b)
+    assert sobolev_zeros(setup, 1).zeros[0] == -(c[0] + B[0]) / A[0]
+
+
 @pytest.mark.parametrize("beta, j", [(0, 0), (0, 10), (100, 0), (100, 10)])
 def test_high_alpha_degree_3000(beta, j):
     # the kernel sums of alpha = 100 at n = 3000 are not doubles; their logs are
@@ -205,6 +228,18 @@ def test_overflow_sweep(alpha, n):
     warning."""
     for beta, j, gamma in itertools.product((0, 20, 50, 100), (0, 5, 10), (1, 40)):
         _assert_zero_set(_plain_setup(alpha, beta, j, gamma), n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [60, 300, 1000])
+def test_widened_box_sweep(n):
+    """Every case of alpha, beta in {20, 100}, j in {10, 20}, gamma in
+    {1, 12, 40}, plain mass M in {1, 1e6} finds n zeros, at most one above
+    1, without a warning."""
+    for alpha, beta, j, gamma, M in itertools.product((20, 100), (20, 100), (10, 20),
+                                                      (1, 12, 40), (1, 1e6)):
+        _assert_zero_set(SobolevSetup(JacobiParams(alpha, beta), j,
+                                      MassSequence(MassKind.PLAIN, M, gamma)), n)
 
 
 @pytest.mark.slow
