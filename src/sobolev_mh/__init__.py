@@ -28,17 +28,13 @@ from .jacobi import (
     scaled_eval,
 )
 from .sobolev import (
-    KernelValue,
     MassKind,
     MassSequence,
     SobolevSetup,
     connection_coeffs,
     connection_reconstruct,
-    deriv_ratio,
-    kernel_at_one,
     mass,
     q_deriv_at_one,
-    sobolev_norm2,
     sobolev_polynomial,
 )
 from .special_functions import bessel_j, bessel_j_zero, log_gamma
@@ -54,13 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConvergenceTable", "JacobiParams", "JacobiSeries",
-    "KernelValue", "LimitFunction", "MassKind", "MassSequence", "NumericError",
-    "Regime", "RegimeKind", "SobolevSetup", "ZeroSet", "bessel_j",
-    "bessel_j_zero", "classify_regime", "clenshaw_eval", "connection_coeffs",
+    "LimitFunction", "MassKind", "MassSequence", "NumericError", "Regime",
+    "RegimeKind", "SobolevSetup", "ZeroSet", "bessel_j", "bessel_j_zero",
+    "classify_regime", "clenshaw_eval", "connection_coeffs",
     "connection_reconstruct", "convergence_table", "critical_mass_threshold",
-    "deriv_at_one", "deriv_ratio", "derivative_series", "jacobi_eval",
-    "kernel_at_one", "limit_coeffs", "limit_eval", "limit_zeros", "log_gamma",
-    "mass", "norm2", "order_zero_identity_residual", "q_deriv_at_one",
-    "scaled_eval", "sobolev_norm2", "sobolev_polynomial", "sobolev_zeros",
-    "__version__",
+    "deriv_at_one", "derivative_series", "jacobi_eval", "limit_coeffs",
+    "limit_eval", "limit_zeros", "log_gamma", "mass", "norm2",
+    "order_zero_identity_residual", "q_deriv_at_one", "scaled_eval",
+    "sobolev_polynomial", "sobolev_zeros", "__version__",
 ]

@@ -3,9 +3,8 @@
     sobolev-mh <job> [--preset NAME | --config FILE] [--out DIR] [--only ID]
                [--full-precision] [--slow]
 
-Jobs: tables, zeros, mh-curve, limits, verify.  The environment variable
-SOBOLEV_MH_OUT overrides --out.  Exit codes: 0 ok, 1 verification failure,
-2 configuration error, 3 numeric failure.
+Jobs: tables, zeros, mh-curve, limits, verify.  Exit codes: 0 ok,
+1 verification failure, 2 configuration error, 3 numeric failure.
 """
 
 import argparse
@@ -13,7 +12,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -129,7 +127,7 @@ def _csv_verify(result):
     return "\n".join(lines) + "\n"
 
 
-def _run_verify(args, out_dir):
+def _run_verify(args):
     result = verify_mod.run(only=args.only, fast=not args.slow)
     n_pass = sum(1 for c in result.cells if c.status == "pass")
     n_flag = sum(1 for c in result.cells if c.status == "flagged")
@@ -149,9 +147,7 @@ def _run_verify(args, out_dir):
     print(f"cells: {n_pass} pass, {len(fails)} fail, {n_flag} flagged; "
           f"properties: {sum(p.status == 'pass' for p in result.properties)}"
           f"/{len(result.properties)} pass")
-    if out_dir is not None:
-        atomic_write_text(os.path.join(out_dir, "verify_report.csv"),
-                          _csv_verify(result))
+    atomic_write_text(os.path.join(args.out, "verify_report.csv"), _csv_verify(result))
     return 0 if result.ok else 1
 
 
@@ -174,8 +170,7 @@ def build_parser():
     g = p.add_mutually_exclusive_group()
     g.add_argument("--preset", help="named experiment preset (e.g. table2)")
     g.add_argument("--config", help="experiment configuration file")
-    p.add_argument("--out", default=".", help="output directory (SOBOLEV_MH_OUT "
-                                              "overrides)")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--only", help="verify: restrict to one table id")
     p.add_argument("--full-precision", action="store_true",
                    help="add full-precision columns to CSV output")
@@ -186,24 +181,22 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    out_dir = os.environ.get("SOBOLEV_MH_OUT") or args.out
     try:
         if args.job == "verify":
-            return _run_verify(args, out_dir)
+            return _run_verify(args)
         if args.preset:
-            cfg = get_preset(args.preset)
+            cfg = get_preset(args.preset, args.job)
         elif args.config:
             with open(args.config) as f:
-                cfg = parse_config(f.read())
+                cfg = parse_config(f.read(), args.job)
         else:
             raise ConfigError(f"job '{args.job}' needs --preset or --config")
-        cfg = replace(cfg, job=args.job)
 
         writer, suffix = _WRITERS[args.job]
         names = (cfg.csv_path or f"{cfg.id}_{suffix}.csv",
                  cfg.svg_path or f"{cfg.id}_{suffix}.svg")
         for name, text in zip(names, writer(cfg, args.full_precision)):
-            path = os.path.join(out_dir, name)
+            path = os.path.join(args.out, name)
             atomic_write_text(path, text)
             print(path)
         return 0

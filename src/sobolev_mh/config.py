@@ -2,8 +2,8 @@
 
 Format: the two sections of ``_FIELDS`` and their keys, one ``key = value``
 per line, ``#`` comments.  Rational fields (alpha, beta, gamma, M) accept
-``p/q`` strings and decimal literals and are kept exact, so knife-edge
-regime comparisons are exact.
+``p/q`` strings and decimal literals within the double range and are kept
+exact, so knife-edge regime comparisons are exact.
 """
 
 import math
@@ -59,6 +59,13 @@ def _job(raw):
     return raw
 
 
+def _rational(raw):
+    # kept exact, but it must have a double: float() raises OverflowError
+    value = Fraction(raw)
+    float(value)
+    return value
+
+
 def _integers(raw):
     return tuple(int(d) for d in raw.replace(",", " ").split())
 
@@ -74,18 +81,19 @@ def _path(raw):
 
 
 _REQUIRED = object()
+_RATIONAL = "a rational in the double range"
 # section -> key -> (parser, what a value must be, default or _REQUIRED); a
 # parser signals a bad value by ValueError or ArithmeticError
 _FIELDS = {
     "experiment": {
         "id": (str, "text", _REQUIRED),
         "job": (_job, "one of " + ", ".join(JOBS), _REQUIRED),
-        "alpha": (Fraction, "a rational", _REQUIRED),
-        "beta": (Fraction, "a rational", _REQUIRED),
+        "alpha": (_rational, _RATIONAL, _REQUIRED),
+        "beta": (_rational, _RATIONAL, _REQUIRED),
         "j": (int, "an integer", _REQUIRED),
-        "gamma": (Fraction, "a rational", _REQUIRED),
+        "gamma": (_rational, _RATIONAL, _REQUIRED),
         "mass": (MassKind, "one of " + ", ".join(k.value for k in MassKind), _REQUIRED),
-        "M": (Fraction, "a rational", Fraction(0)),
+        "M": (_rational, _RATIONAL, Fraction(0)),
         "custom_values": (_custom_values, "a list of n:value pairs", None),
         "degrees": (_integers, "a list of integers", _REQUIRED),
         "zero_count": (int, "an integer", 4),
@@ -99,8 +107,9 @@ _FIELDS = {
 }
 
 
-def parse_config(text):
-    """Parse configuration text into an ExperimentConfig."""
+def parse_config(text, job=None):
+    """Parse configuration text into an ExperimentConfig for ``job``, by
+    default the file's ``job`` key (which is parsed either way)."""
     section = None
     v = {}  # key -> parsed value; the keys of the two sections are distinct
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,6 +147,6 @@ def parse_config(text):
                                                custom_values=custom))
     except ValueError as e:
         raise ConfigError(str(e))
-    return ExperimentConfig(id=v["id"], job=v["job"], setup=setup, degrees=v["degrees"],
+    return ExperimentConfig(id=v["id"], job=job or v["job"], setup=setup, degrees=v["degrees"],
                             zero_count=v["zero_count"], x_max=v["x_max"], points=v["points"],
                             csv_path=v["csv"], svg_path=v["svg"])

@@ -42,17 +42,15 @@ def preset_names():
     return sorted(golden.TABLES) + sorted(_FIGURES) + sorted(SETUPS)
 
 
-def get_preset(name):
-    """Resolve a preset name to an ExperimentConfig."""
+def get_preset(name, job):
+    """Resolve a preset name to the ExperimentConfig of ``job``."""
     if name in golden.TABLES:
-        exp = golden.TABLES[name].experiment
-        return ExperimentConfig(id=name, job="tables", setup=SETUPS[exp],
-                                degrees=TABLE_DEGREES, zero_count=4)
-    if name in _FIGURES:
-        exp = _FIGURES[name]
-        return ExperimentConfig(id=name, job="mh-curve", setup=SETUPS[exp],
-                                degrees=FIGURE_DEGREES, zero_count=4)
-    if name in SETUPS:
-        return ExperimentConfig(id=name, job="tables", setup=SETUPS[name],
-                                degrees=TABLE_DEGREES, zero_count=4)
-    raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+        exp, degrees = golden.TABLES[name].experiment, TABLE_DEGREES
+    elif name in _FIGURES:
+        exp, degrees = _FIGURES[name], FIGURE_DEGREES
+    elif name in SETUPS:
+        exp, degrees = name, TABLE_DEGREES
+    else:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return ExperimentConfig(id=name, job=job, setup=SETUPS[exp], degrees=degrees,
+                            zero_count=4)

@@ -3,8 +3,8 @@
 The inner product adds a degree-dependent point mass M_n on the j-th
 derivative at x = 1.  The orthogonal polynomial of degree n is the
 classical one minus an explicit kernel correction; everything downstream
-(derivative ratios at 1, Sobolev norms, connection coefficients) follows
-from closed formulas, never finite differences.  They take a degree or an
+(derivatives at 1, connection coefficients) follows from closed formulas,
+never finite differences.  They take a degree or an
 array of degrees and stay logs until the final value; the kernel sums of
 every degree up to the largest come from one ``np.logaddexp.accumulate``,
 which cannot overflow.  Nothing is cached: a table up to degree 5000 costs
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import MissingMassError
+from .errors import ConfigError
 from .jacobi import (
     JacobiParams,
     JacobiSeries,
@@ -87,15 +87,6 @@ class SobolevSetup:
             raise ValueError("derivative order must be nonnegative")
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    n: int
-    j: int
-    k: int
-    value: float
-    scaled: float
-
-
 def mass(seq, n):
     """Value M_n of the mass sequence at degree n >= 1."""
     n = int(n)
@@ -115,8 +106,7 @@ def mass(seq, n):
         try:
             return float(seq.custom_values[n])
         except KeyError:
-            raise MissingMassError(
-                f"custom mass sequence has no entry for n={n}") from None
+            raise ConfigError(f"custom mass sequence has no entry for n={n}") from None
     raise ValueError(f"unknown mass kind {seq.kind!r}")
 
 
@@ -124,29 +114,25 @@ def mass(seq, n):
 # kernel sums K_n^{(j,k)}(1,1) and the closed forms built on them
 # ---------------------------------------------------------------------------
 
-def _log_kernel(params, n_max, ks):
-    """log d_i(k), one row per order in ``ks`` (-inf for i < k), and log h_i for
-    i <= n_max; log K_m^{(ks[0], k)}(1,1) for m = -1..n_max in column m + 1."""
-    i = np.arange(n_max + 1)
-    k = np.asarray(ks)[:, None]
-    ld = np.where(i < k, -np.inf, _log_d(np.maximum(i, k), k, params.a, params.b))
-    lh = _log_norm2(i, params.a, params.b)
-    terms = np.full((len(ks), n_max + 2), -np.inf)
-    terms[:, 1:] = ld[0] + ld - lh
-    return ld, lh, np.logaddexp.accumulate(terms, axis=1)
-
-
 def _log_forms(setup, n, ks=()):
     """For the orders (j, *ks), one row each, and the degrees ``n`` (an int
-    array): log d_i(k) and log h_i for i <= max(n), log K_{n-1}^{(j,k)}(1,1),
-    log(1 + M_n K_{n-1}^{(j,j)}(1,1)) and log c_n = log of M_n d_n(j) over
-    the latter.  M_0 = 0; ``mass`` is called only at the degrees n, which
-    may be all a custom table holds."""
-    ld, lh, lK = _log_kernel(setup.params, int(n.max()), (int(setup.j), *ks))
+    array): log d_i(k) (-inf for i < k) and log h_i for i <= max(n),
+    log K_{n-1}^{(j,k)}(1,1), log(1 + M_n K_{n-1}^{(j,j)}(1,1)) and log c_n =
+    log of M_n d_n(j) over the latter.  M_0 = 0; ``mass`` is called only at
+    the degrees n, which may be all a custom table holds."""
+    p = setup.params
+    i = np.arange(int(n.max()) + 1)
+    k = np.array([int(setup.j), *ks])[:, None]
+    ld = np.where(i < k, -np.inf, _log_d(np.maximum(i, k), k, p.a, p.b))
+    lh = _log_norm2(i, p.a, p.b)
+    # column m + 1 holds log K_m for m = -1..max(n)
+    lK = np.full((len(k), len(i) + 1), -np.inf)
+    lK[:, 1:] = ld[0] + ld - lh
+    lK = np.logaddexp.accumulate(lK, axis=1)[:, n]
     with np.errstate(divide="ignore"):
         lM = np.log([mass(setup.mass, m) if m else 0.0 for m in n.flat]).reshape(n.shape)
-    lden = np.logaddexp(0.0, lM + lK[0, n])
-    return ld, lh, lK[:, n], lden, lM + ld[0, n] - lden
+    lden = np.logaddexp(0.0, lM + lK[0])
+    return ld, lh, lK, lden, lM + ld[0, n] - lden
 
 
 def _deriv_ratios(setup, n, ks):
@@ -155,17 +141,6 @@ def _deriv_ratios(setup, n, ks):
     ld, _, lK, lden, lc = _log_forms(setup, n, ks)
     return [_exp(-lden) if k == setup.j else 1.0 - _exp(lc + lK[r] - ld[r, n])
             for r, k in enumerate(ks, 1)]
-
-
-def kernel_at_one(setup, n, j, k):
-    """Kernel sum K_n^{(j,k)}(1,1) with its n^{2 alpha + 2j + 2k + 2} scaling,
-    formed in log space (OverflowError only if K itself is too large)."""
-    n, j, k = int(n), int(j), int(k)
-    p = setup.params
-    lK = _log_kernel(p, n, (j, k))[2][1, -1]
-    power = 2.0 * p.a + 2.0 * j + 2.0 * k + 2.0
-    scaled = _exp(lK - power * math.log(n)) if n >= 1 else math.inf
-    return KernelValue(n=n, j=j, k=k, value=_exp(lK), scaled=scaled)
 
 
 def _series_coeffs(setup, n):
@@ -199,23 +174,6 @@ def q_deriv_at_one(setup, n, k):
     if k == int(setup.j):
         return _exp(ld[0, n] - lden)
     return _exp(ld[1, n]) - _exp(lc + lK[1])
-
-
-def deriv_ratio(setup, n, k):
-    """Ratio of the Sobolev to the classical k-th derivative at x = 1; ``n``
-    may be an array of degrees."""
-    n, k = _degrees(n), int(k)
-    if not 0 <= k <= n.min():
-        raise ValueError("need 0 <= k <= n")
-    return _deriv_ratios(setup, n, (k,))[0]
-
-
-def sobolev_norm2(setup, n):
-    """Squared Sobolev norm of the degree-n orthogonal polynomial,
-    h_n + c_n d_n(j); ``n`` may be an array of degrees."""
-    n = _degrees(n)
-    ld, lh, _, _, lc = _log_forms(setup, n)
-    return _exp(lh[n]) + _exp(lc + ld[0, n])
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,26 @@ class TestConfig:
         assert cfg.setup == parse_config(LEGENDRE_CFG).setup
         assert hash(cfg.setup) == hash(parse_config(LEGENDRE_CFG).setup)
 
-    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
-    def test_bad_value_names_line_and_field(self, key):
+    @staticmethod
+    def _assert_names_line_and_field(key, value):
         lines = FULL_CFG.splitlines()
         lineno = next(i for i, line in enumerate(lines, start=1)
                       if line.startswith(f"{key} = "))
-        lines[lineno - 1] = f"{key} = {BAD_VALUES[key]}"
+        lines[lineno - 1] = f"{key} = {value}"
         with pytest.raises(ConfigError) as info:
             parse_config("\n".join(lines))
         msg = str(info.value)
         assert msg.startswith(f"line {lineno}: field '{key}' is not ")
-        assert msg.endswith(f": '{BAD_VALUES[key]}'") and "\n" not in msg
+        assert msg.endswith(f": '{value}'") and "\n" not in msg
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_names_line_and_field(self, key):
+        self._assert_names_line_and_field(key, BAD_VALUES[key])
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "gamma", "M"])
+    def test_rational_beyond_double_range_names_line_and_field(self, key):
+        # exact as a Fraction, but float() of it overflows
+        self._assert_names_line_and_field(key, "1e400")
 
     def test_omitted_optional_keys_take_defaults(self):
         text = "\n".join(line for line in LEGENDRE_CFG.splitlines()
@@ -129,12 +138,14 @@ class TestConfig:
         assert cfg.csv_path is None and cfg.svg_path is None
 
     def test_preset_names_resolve(self):
+        # every preset passes the checks of every job that reads one
         for name in preset_names():
-            assert get_preset(name).setup.params.alpha > -1
+            for job in ("tables", "zeros", "mh-curve", "limits"):
+                assert get_preset(name, job).setup.params.alpha > -1
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            get_preset("table9")
+            get_preset("table9", "tables")
 
     def test_table_presets_follow_the_golden_tables(self):
         assert preset_names() == [
@@ -143,7 +154,7 @@ class TestConfig:
             "figure-subcritical", "figure-supercritical", "critical-big-mass",
             "critical-small-mass", "subcritical", "supercritical"]
         for tid, table in golden.TABLES.items():
-            assert get_preset(tid).setup is SETUPS[table.experiment]
+            assert get_preset(tid, "tables").setup is SETUPS[table.experiment]
 
 
 def test_readme_lists_every_config_key():
@@ -161,6 +172,17 @@ def test_exports_resolve_once():
     assert len(set(sobolev_mh.__all__)) == len(sobolev_mh.__all__)
     for name in sobolev_mh.__all__:
         assert hasattr(sobolev_mh, name), name
+
+
+def test_readme_lists_the_python_api():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    part = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = part.split("\n\n")[1]  # the list after the opening paragraph
+    assert bullets.startswith("- ")
+    names = [name for item in bullets.split("\n- ")
+             for name in item.split(":", 1)[1].split("`")[1::2]]
+    assert len(names) == len(set(names))
+    assert set(names) == set(sobolev_mh.__all__)
 
 
 def _write_cfg(tmp_path, text):
@@ -211,14 +233,6 @@ class TestCliTables:
         rec = lines[1].split(",")
         assert rec[:3] == ["legendre-check", "150", "1"] and float(rec[3]) > 1.0
         assert rec[4:] == ["", "", ""]
-
-    def test_env_overrides_out(self, tmp_path, monkeypatch):
-        sub = tmp_path / "env-dir"
-        monkeypatch.setenv("SOBOLEV_MH_OUT", str(sub))
-        cfg = _write_cfg(tmp_path, LEGENDRE_CFG)
-        rc = main(["tables", "--config", cfg, "--out", str(tmp_path / "ignored")])
-        assert rc == 0
-        assert (sub / "legendre.csv").exists()
 
 
 class TestCliOtherJobs:
@@ -369,6 +383,8 @@ class TestCliErrors:
         ("zeros", "M = 0", "M = 0\ncustom_values = 10=1/2"),
         ("zeros", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
         ("limits", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
+        ("zeros", "M = 0", "M = 1e400"),
+        ("limits", "M = 0", "M = 1e400"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
@@ -378,6 +394,20 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("own, other, old, new", [
+        ("tables", "limits", "degrees = 10", "degrees = 2"),
+        ("mh-curve", "zeros", "zero_count = 4", "zero_count = 4\nx_max = 100"),
+    ])
+    def test_file_job_checks_only_its_own_job(self, tmp_path, capsys, own, other, old, new):
+        # the command line's job replaces the file's before any job check
+        text = LEGENDRE_CFG.replace("job = tables", f"job = {own}").replace(old, new)
+        cfg = _write_cfg(tmp_path, text)
+        assert main([other, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([own, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
     def test_x_max_at_twice_smallest_degree(self, tmp_path, capsys):
         # x = 2n maps to 1 - x^2/(2n^2) = -1, the edge of the curve's domain
