@@ -15,15 +15,15 @@ import tempfile
 
 import numpy as np
 
-from . import verify as verify_mod
 from .asymptotics import limit_coeffs, limit_eval
 from .config import JOBS, parse_config
 from .errors import ConfigError, NumericError
 from .jacobi import scaled_eval
-from .presets import get_preset
 from .sobolev import sobolev_polynomial
-from .svg import line_chart
 from .zeros import convergence_table, limit_zeros, sobolev_zeros
+
+# verify (with golden), presets and svg are imported by the jobs that use
+# them, so that the other jobs do not load them at start-up
 
 
 def _fmt(v, full=False):
@@ -102,6 +102,8 @@ def _csv_limits(cfg, full_precision):
 
 
 def _mh_curve(cfg, full_precision):
+    from .svg import line_chart
+
     xs = np.linspace(0.0, cfg.x_max, cfg.points)
     lf = limit_coeffs(cfg.setup)
     ref = limit_eval(lf, xs)
@@ -128,6 +130,8 @@ def _csv_verify(result):
 
 
 def _run_verify(args):
+    from . import verify as verify_mod
+
     result = verify_mod.run(only=args.only, fast=not args.slow)
     n_pass = sum(1 for c in result.cells if c.status == "pass")
     n_flag = sum(1 for c in result.cells if c.status == "flagged")
@@ -185,6 +189,8 @@ def main(argv=None):
         if args.job == "verify":
             return _run_verify(args)
         if args.preset:
+            from .presets import get_preset
+
             cfg = get_preset(args.preset, args.job)
         elif args.config:
             with open(args.config) as f:

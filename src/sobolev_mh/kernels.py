@@ -8,7 +8,11 @@ coefficient array, each with its own row of recurrence coefficients or
 sharing one by broadcasting (say the shifted polynomials
 P^{(alpha+2i, beta)} of a connection formula at many degrees): the same m
 steps then act on (rows, k) arrays, and each row of the result is bit for
-bit what a 1-d call on that row gives.
+bit what a 1-d call on that row gives.  A 1-d series on at most 16 points
+(the last few roots of a refinement) steps over Python floats instead,
+point by point, with the same operations in the same order, so bit for bit
+the numpy result: a numpy step costs ~6 ufunc calls whatever the point
+count, a float step ~0.2 us per point, and the two cross near 25-30 points.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method on any function that returns values and
@@ -37,20 +41,26 @@ def jacobi_recurrence(m, alpha, beta):
     alpha + beta = -1 and alpha + beta = 0 where the generic expressions
     have removable singularities.  A column of exponents ``alpha`` (shape
     (rows, 1)) gives arrays of shape (rows, m), one recurrence per row.
+    Coefficients beyond the double range (alpha or beta near 1e300) raise
+    ``NumericError``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     i = np.arange(1.0, m)
-    s = 2.0 * i + alpha + beta
-    den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
     shape = alpha.shape[:-1] + (max(m, 1),)
     A = np.empty(shape)
     B = np.empty(shape)
     C = np.zeros(shape)
-    A[..., :1] = 0.5 * (alpha + beta + 2.0)
-    B[..., :1] = 0.5 * (alpha - beta)
-    A[..., 1:] = (s + 1.0) * (s + 2.0) / den
-    B[..., 1:] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
-    C[..., 1:] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
+    with np.errstate(all="ignore"):
+        s = 2.0 * i + alpha + beta
+        den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
+        A[..., :1] = 0.5 * (alpha + beta + 2.0)
+        B[..., :1] = 0.5 * (alpha - beta)
+        A[..., 1:] = (s + 1.0) * (s + 2.0) / den
+        B[..., 1:] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
+        C[..., 1:] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
+    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()):
+        raise NumericError(f"the Jacobi recurrence at alpha = {np.max(alpha):g}, "
+                           f"beta = {beta:g} is not finite in double precision")
     return A, B, C
 
 
@@ -74,9 +84,23 @@ def clenshaw_batch(c, A, B, C, x):
     # recurrence arrays must extend one index past the series degree
     if np.shape(A)[-1] < c.shape[-1] + 1:
         raise ValueError("recurrence arrays must extend past the series degree")
-    # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 in place on three
-    # rotating buffers: the same operations in the same order, no allocation.
-    # A 1-d series steps with Python floats, a stack with rows + (1, ...)
+    # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 for k = K-1 .. 0.
+    # On at most 16 points a 1-d series runs it over Python floats, point by
+    # point: t = x A[k]; t += B[k]; t *= u1; t += c[k]; t -= C[k+1] u2, the
+    # operations of the numpy loop below in its order, so the same bits.
+    if c.ndim == 1 and x.size <= 16:
+        K = len(c)
+        steps = (c[::-1].tolist(), A[K - 1::-1].tolist(), B[K - 1::-1].tolist(),
+                 C[K:0:-1].tolist())
+        out = []
+        for xv in x.ravel().tolist():
+            u1 = u2 = 0.0
+            for ck, a, b, cn in zip(*steps):
+                u1, u2 = (xv * a + b) * u1 + ck - cn * u2, u1
+            out.append(u1)
+        return np.array(out).reshape(x.shape)
+    # Otherwise in place on three rotating buffers, no allocation: a 1-d
+    # series steps with Python float coefficients, a stack with rows + (1, ...)
     # slices that broadcast against each other and against x.
     rows = c.shape[:-1]
     if c.ndim == 1:
@@ -85,11 +109,6 @@ def clenshaw_batch(c, A, B, C, x):
         c, A, B, C = (list(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(
                           v.shape[-1:] + v.shape[:-1] + (1,) * x.ndim))
                       for v in (c, A, B, C))
-    # in-place ufuncs on one element cost 2-3 times what they cost on two,
-    # so a lone point is evaluated twice
-    lone = x.shape == (1,)
-    if lone:
-        x = np.repeat(x, 2)
     u1 = np.zeros(rows + x.shape)
     u2 = np.zeros_like(u1)
     t = np.empty_like(u1)
@@ -101,7 +120,7 @@ def clenshaw_batch(c, A, B, C, x):
         u2 *= C[k + 1]
         t -= u2
         u1, u2, t = t, u1, u2
-    return u1[..., :1] if lone else u1
+    return u1
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,23 @@ class TestCliErrors:
                 assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
             assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
+    @pytest.mark.parametrize("job", ["mh-curve", "zeros", "tables"])
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_huge_exponent_is_one_line(self, tmp_path, capsys, job, key):
+        # at 1e300 the recurrence coefficients are not doubles; mh-curve used
+        # to exit 0 with an empty q_10 column after overflow warnings
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(f"{key} = 0", f"{key} = 1e300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert len(err.splitlines()) == 1
+        if key == "beta" or job == "mh-curve":
+            a, b = ("1e+300", "0") if key == "alpha" else ("0", "1e+300")
+            assert err == (f"numeric failure: the Jacobi recurrence at alpha = {a}, "
+                           f"beta = {b} is not finite in double precision\n")
+
     def test_grid_overflow_is_one_line(self, tmp_path, capsys):
         # alpha = 300, n = 3000: P_n(1) is above the double range, so the
         # series overflows on the bracket grid

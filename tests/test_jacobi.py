@@ -244,12 +244,24 @@ class TestStackedClenshaw:
             assert not np.all(np.isfinite(got))  # the overflow reached the rows
 
     def test_lone_point_equals_pair(self):
-        s = sobolev_polynomial(SETUPS["subcritical"], 500)
-        A, B, C = kernels.jacobi_recurrence(502, s.params.a, s.params.b)
-        pair = kernels.clenshaw_batch(s.coeffs, A, B, C, np.array([0.37, -0.2]))
-        lone = kernels.clenshaw_batch(s.coeffs, A, B, C, np.array([0.37]))
-        assert lone.shape == (1,)
-        assert lone[0] == pair[0]
+        # up to 16 points a 1-d series steps over Python floats, from 17 on
+        # with numpy: every slice of a 17-point call is bit for bit that call,
+        # overflowed points above 1 included
+        x = np.concatenate([np.linspace(-1.0, 1.0, 12), [0.37, 1.0001, 1.5, 1e3, 1e200]])
+        for n in (0, 1, 500, 5000):
+            s = sobolev_polynomial(SETUPS["subcritical"], max(n, 1))
+            c = s.coeffs[:n + 1]
+            A, B, C = kernels.jacobi_recurrence(n + 2, s.params.a, s.params.b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = kernels.clenshaw_batch(c, A, B, C, x)
+                for k in (1, 2, 16, 17):
+                    for part in (slice(0, k), slice(17 - k, 17)):
+                        got = kernels.clenshaw_batch(c, A, B, C, x[part])
+                        assert got.shape == (k,)
+                        np.testing.assert_array_equal(got.view(np.int64),
+                                                      full[part].view(np.int64))
+            if n >= 500:
+                assert not np.all(np.isfinite(full))  # the overflow is compared too
 
     @pytest.mark.parametrize("points", [1, 7])
     def test_degree_zero_stack_is_its_constants(self, points):

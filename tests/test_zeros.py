@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -415,18 +416,53 @@ def test_convergence_table_validations(supercritical):
         convergence_table(supercritical, [3], 4)
 
 
-def test_zeros_do_not_import_numpy_ma():
-    # numpy.ma costs ~5 ms to import; np.unique would pull it in
+def _loaded(code, modules):
+    """The names of ``modules`` that a fresh interpreter holds after ``code``."""
     root = Path(__file__).resolve().parents[1]
-    code = ("import sys\n"
-            "from sobolev_mh.presets import SETUPS\n"
-            "from sobolev_mh.zeros import sobolev_zeros\n"
-            "sobolev_zeros(SETUPS['subcritical'], 150)\n"
-            "print('numpy.ma' in sys.modules)\n")
+    code += f"\nimport sys\nprint([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_zeros_do_not_import_numpy_ma():
+    # numpy.ma costs ~5 ms to import; np.unique would pull it in
+    code = ("from sobolev_mh.presets import SETUPS\n"
+            "from sobolev_mh.zeros import sobolev_zeros\n"
+            "sobolev_zeros(SETUPS['subcritical'], 150)\n")
+    assert _loaded(code, ["numpy.ma"]) == []
+
+
+ZEROS_CFG = """\
+[experiment]
+id = imports
+job = zeros
+alpha = 1/2
+beta = 0
+j = 2
+gamma = 1
+mass = plain
+M = 1
+degrees = 150
+"""
+
+
+@pytest.mark.parametrize("step", ["import", "zeros-config"])
+def test_cli_step_loads_only_its_modules(tmp_path, step):
+    # verify (with golden), presets and svg serve only verify, --preset and
+    # mh-curve: every other job would pay to compile and run them at start-up
+    code = "import sobolev_mh.cli\n"
+    if step == "zeros-config":
+        cfg = tmp_path / "imports.cfg"
+        cfg.write_text(ZEROS_CFG)
+        code += (f"assert sobolev_mh.cli.main(['zeros', '--config', {str(cfg)!r}, "
+                 f"'--out', {str(tmp_path)!r}]) == 0\n")
+    job_only = ["sobolev_mh.verify", "sobolev_mh.golden", "sobolev_mh.presets",
+                "sobolev_mh.svg", "numpy.ma"]
+    assert _loaded(code, job_only) == []
+    if step == "zeros-config":
+        assert (tmp_path / "imports_zeros.csv").exists()
