@@ -3,8 +3,8 @@
     sobolev-mh <job> [--preset NAME | --config FILE] [--out DIR] [--only ID]
                [--full-precision] [--slow]
 
-Jobs: tables, zeros, mh-curve, limits, verify.  Exit codes: 0 ok,
-1 verification failure, 2 configuration error, 3 numeric failure.
+Jobs: tables, zeros, mh-curve, limits, verify.  Exit codes: 0 ok, 1
+verification failure, 2 configuration error or other ValueError, 3 numeric failure.
 """
 
 import argparse
@@ -206,7 +206,7 @@ def main(argv=None):
             atomic_write_text(path, text)
             print(path)
         return 0
-    except (ConfigError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError) as e:

@@ -43,15 +43,22 @@ class JacobiParams:
 
 @dataclass(frozen=True)
 class JacobiSeries:
-    """Polynomial stored as coefficients against {P_0, ..., P_n} for fixed params."""
+    """Polynomial stored as coefficients against {P_0, ..., P_n} for fixed
+    params, or a 2-d stack of them, one per row, zero-padded to one length
+    (``derivative_series`` and ``scaled_eval`` take a single series)."""
 
     params: JacobiParams
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
-        if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
+        if self.coeffs.ndim not in (1, 2) or self.coeffs.shape[-1] == 0:
+            raise ValueError("coefficients must be a nonempty 1-d array or 2-d stack")
+
+    # formed once per series, on its first evaluation
+    @cached_property
+    def recurrence(self):
+        return kernels.jacobi_recurrence(self.coeffs.shape[-1] + 1, self.params.a, self.params.b)
 
 
 def jacobi_eval(n, params, x):
@@ -136,12 +143,11 @@ def norm2(n, params):
 
 
 def clenshaw_eval(series, x):
-    """Evaluate a Jacobi series at x (scalar or array) by backward recurrence."""
-    c = series.coeffs
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    A, B, C = kernels.jacobi_recurrence(len(c) + 1, series.params.a, series.params.b)
-    out = kernels.clenshaw_batch(c, A, B, C, arr)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    """Evaluate a Jacobi series at x (scalar or array) by backward recurrence;
+    a stack of series gives one row per series, of the shape of x."""
+    out = kernels.clenshaw_batch(series.coeffs, *series.recurrence, np.atleast_1d(x))
+    out = out.reshape(series.coeffs.shape[:-1] + np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def derivative_series(series):

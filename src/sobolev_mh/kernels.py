@@ -3,21 +3,22 @@
 One backend, vectorized numpy: each kernel loops in Python over the
 recurrence index and in numpy over the evaluation points, so one pass of a
 degree-m series over k points costs m numpy operations on length-k arrays.
-``clenshaw_batch`` also takes a stack of series, one per row of a
-coefficient array, each with its own row of recurrence coefficients or
-sharing one by broadcasting (say the shifted polynomials
-P^{(alpha+2i, beta)} of a connection formula at many degrees): the same m
-steps then act on (rows, k) arrays, and each row of the result is bit for
-bit what a 1-d call on that row gives.  A 1-d series on at most 16 points
-(the last few roots of a refinement) steps over Python floats instead,
-point by point, with the same operations in the same order, so bit for bit
-the numpy result: a numpy step costs ~6 ufunc calls whatever the point
-count, a float step ~0.2 us per point, and the two cross near 25-30 points.
+The Jacobi layer is the one caller of ``jacobi_recurrence`` and
+``clenshaw_batch``: a ``JacobiSeries`` forms its recurrence once and
+``clenshaw_eval`` hands it here.  ``clenshaw_batch`` also takes a stack of
+series, one per row of a coefficient array, all in the basis of its one
+recurrence: the same m steps then act on (rows, k) arrays, and each row of
+the result is bit for bit what a 1-d call on that row gives.  A 1-d series
+on at most 16 points (the last few roots of a refinement) steps over
+Python floats instead, point by point, with the same operations in the
+same order, so bit for bit the numpy result: a numpy step costs ~6 ufunc
+calls whatever the point count, a float step ~0.2 us per point, and the
+two cross near 25-30 points.
 
 ``refine_brackets`` converges every sign-change bracket together with a
 safeguarded Newton method on any function that returns values and
 derivatives on an array: the polynomial zeros pass it a pair of
-``clenshaw_batch`` sums (the one Clenshaw entry), and ``_scan_zeros``
+``clenshaw_eval`` sums, and ``_scan_zeros``
 uses it for the first zeros of a function on (0, inf), the Bessel zeros
 and the limit-function zeros.  Each bracket
 starts from its secant point, the zero of the chord through its two end
@@ -35,31 +36,27 @@ from .errors import NumericError
 
 
 def jacobi_recurrence(m, alpha, beta):
-    """Arrays (A, B, C) with P_{i+1} = (A_i x + B_i) P_i - C_i P_{i-1}, i < m.
+    """Arrays (A, B, C) with P_{i+1} = (A_i x + B_i) P_i - C_i P_{i-1}, i < m,
+    for the scalar exponents ``alpha`` and ``beta``.
 
     The i = 0 entries are the two-term start (C_0 = 0); they stay valid at
     alpha + beta = -1 and alpha + beta = 0 where the generic expressions
-    have removable singularities.  A column of exponents ``alpha`` (shape
-    (rows, 1)) gives arrays of shape (rows, m), one recurrence per row.
-    Coefficients beyond the double range (alpha or beta near 1e300) raise
-    ``NumericError``.
+    have removable singularities.  Coefficients beyond the double range
+    (alpha or beta near 1e300) raise ``NumericError``.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha, beta = float(alpha), float(beta)
     i = np.arange(1.0, m)
-    shape = alpha.shape[:-1] + (max(m, 1),)
-    A = np.empty(shape)
-    B = np.empty(shape)
-    C = np.zeros(shape)
+    A, B, C = np.zeros((3, max(m, 1)))
     with np.errstate(all="ignore"):
         s = 2.0 * i + alpha + beta
         den = 2.0 * (i + 1.0) * (i + alpha + beta + 1.0)
-        A[..., :1] = 0.5 * (alpha + beta + 2.0)
-        B[..., :1] = 0.5 * (alpha - beta)
-        A[..., 1:] = (s + 1.0) * (s + 2.0) / den
-        B[..., 1:] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
-        C[..., 1:] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
+        A[0] = 0.5 * (alpha + beta + 2.0)
+        B[0] = 0.5 * (alpha - beta)
+        A[1:] = (s + 1.0) * (s + 2.0) / den
+        B[1:] = (alpha * alpha - beta * beta) * (s + 1.0) / (den * s)
+        C[1:] = 2.0 * (i + alpha) * (i + beta) * (s + 2.0) / (den * s)
     if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()):
-        raise NumericError(f"the Jacobi recurrence at alpha = {np.max(alpha):g}, "
+        raise NumericError(f"the Jacobi recurrence at alpha = {alpha:g}, "
                            f"beta = {beta:g} is not finite in double precision")
     return A, B, C
 
@@ -69,21 +66,19 @@ def jacobi_recurrence(m, alpha, beta):
 # ---------------------------------------------------------------------------
 
 def clenshaw_batch(c, A, B, C, x):
-    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence).
+    """Evaluate sum_i c[i] P_i at every point of ``x`` (backward recurrence)
+    with the one recurrence (A, B, C) of ``jacobi_recurrence``.
 
-    ``c`` may also be a stack of series of shape rows + (K,), with ``A``,
-    ``B``, ``C`` of a shape (..., >= K + 1) whose leading axes broadcast
-    against rows (``jacobi_recurrence`` with a column of exponents gives one
-    recurrence per row; a 1-d recurrence serves every row): the result has
-    shape rows + x.shape, and each row is bit for bit the 1-d evaluation of
-    its series with its recurrence.  A series of lower degree is a row
+    ``c`` may also be a stack of series of shape rows + (K,), all in that
+    basis: the result has shape rows + x.shape, and each row is bit for bit
+    the 1-d evaluation of its series.  A series of lower degree is a row
     padded with zeros.
     """
     c = np.ascontiguousarray(c, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     # recurrence arrays must extend one index past the series degree
-    if np.shape(A)[-1] < c.shape[-1] + 1:
-        raise ValueError("recurrence arrays must extend past the series degree")
+    if np.ndim(A) != 1 or len(A) < c.shape[-1] + 1:
+        raise ValueError("the recurrence must be 1-d and extend past the series degree")
     # u1, u2 = c[k] + (A[k] x + B[k]) u1 - C[k+1] u2, u1 for k = K-1 .. 0.
     # On at most 16 points a 1-d series runs it over Python floats, point by
     # point: t = x A[k]; t += B[k]; t *= u1; t += c[k]; t -= C[k+1] u2, the
@@ -99,16 +94,13 @@ def clenshaw_batch(c, A, B, C, x):
                 u1, u2 = (xv * a + b) * u1 + ck - cn * u2, u1
             out.append(u1)
         return np.array(out).reshape(x.shape)
-    # Otherwise in place on three rotating buffers, no allocation: a 1-d
-    # series steps with Python float coefficients, a stack with rows + (1, ...)
-    # slices that broadcast against each other and against x.
+    # Otherwise in place on three rotating buffers, no allocation, with the
+    # recurrence as Python floats; a stack steps with rows + (1, ...) slices
+    # of its coefficients that broadcast against x.
     rows = c.shape[:-1]
-    if c.ndim == 1:
-        c, A, B, C = c.tolist(), A.tolist(), B.tolist(), C.tolist()
-    else:
-        c, A, B, C = (list(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(
-                          v.shape[-1:] + v.shape[:-1] + (1,) * x.ndim))
-                      for v in (c, A, B, C))
+    A, B, C = A.tolist(), B.tolist(), C.tolist()
+    c = c.tolist() if c.ndim == 1 else list(
+        np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * x.ndim))
     u1 = np.zeros(rows + x.shape)
     u2 = np.zeros_like(u1)
     t = np.empty_like(u1)

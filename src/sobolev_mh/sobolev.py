@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError
 from .jacobi import (
     JacobiParams,
@@ -28,6 +27,7 @@ from .jacobi import (
     _exp,
     _log_d,
     _log_norm2,
+    clenshaw_eval,
     solve_connection,
 )
 
@@ -93,20 +93,25 @@ def mass(seq, n):
     if n < 1:
         raise ValueError("mass sequence is defined for n >= 1")
     g = seq.g
-    if seq.kind is MassKind.PLAIN:
-        return seq.m * n ** (-g)
-    if seq.kind is MassKind.EXP_RATIONAL:
-        # 3 e^n / ((6 e^n + 4) n^g), rewritten overflow-free
-        return 3.0 / ((6.0 + 4.0 * math.exp(-n)) * n ** g)
-    if seq.kind is MassKind.LOG_RATIO:
-        return (7.0 * math.log(n + 1.0) + 5.0) / ((3.0 + 2.0 * math.log(n)) * n ** g)
-    if seq.kind is MassKind.POLY_RATIO:
-        return seq.m * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
     if seq.kind is MassKind.CUSTOM:
         try:
             return float(seq.custom_values[n])
         except KeyError:
             raise ConfigError(f"custom mass sequence has no entry for n={n}") from None
+    # n ** g raises past the double range; below it, a zero divisor
+    try:
+        if seq.kind is MassKind.PLAIN:
+            return seq.m * n ** (-g)
+        if seq.kind is MassKind.EXP_RATIONAL:
+            # 3 e^n / ((6 e^n + 4) n^g), rewritten overflow-free
+            return 3.0 / ((6.0 + 4.0 * math.exp(-n)) * n ** g)
+        if seq.kind is MassKind.LOG_RATIO:
+            return (7.0 * math.log(n + 1.0) + 5.0) / ((3.0 + 2.0 * math.log(n)) * n ** g)
+        if seq.kind is MassKind.POLY_RATIO:
+            return seq.m * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"the {seq.kind.value} mass at n = {n}, gamma = {g:g} "
+                            f"is beyond the double range") from None
     raise ValueError(f"unknown mass kind {seq.kind!r}")
 
 
@@ -143,20 +148,17 @@ def _deriv_ratios(setup, n, ks):
             for r, k in enumerate(ks, 1)]
 
 
-def _series_coeffs(setup, n):
-    """Jacobi coefficients -c_n d_i(j) / h_i (i < n), 1 (i = n) of the degrees
-    ``n`` (a 1-d int array), row r for n[r], zero-padded to max(n) + 1."""
-    ld, lh, _, _, lc = _log_forms(setup, n)
-    below = np.arange(n.max() + 1) < n[:, None]
-    coeffs = -_exp(lc[:, None] + np.where(below, ld[0] - lh, -np.inf))
-    coeffs[np.arange(len(n)), n] = 1.0
-    return coeffs
-
-
 def sobolev_polynomial(setup, n):
     """Degree-n orthogonal polynomial of the discrete inner product, as a
-    Jacobi series with unit leading coefficient."""
-    return JacobiSeries(setup.params, _series_coeffs(setup, _degrees([n]))[0])
+    Jacobi series with unit leading coefficient: -c_n d_i(j) / h_i (i < n),
+    1 (i = n).  A 1-d array ``n`` gives a stack, row r for n[r], zero-padded
+    to max(n) + 1."""
+    n = _degrees(n)
+    ld, lh, _, _, lc = _log_forms(setup, n)
+    below = np.arange(n.max() + 1) < n[..., None]
+    coeffs = -_exp(lc[..., None] + np.where(below, ld[0] - lh, -np.inf))
+    np.put_along_axis(coeffs, n[..., None], 1.0, axis=-1)
+    return JacobiSeries(setup.params, coeffs)
 
 
 def q_deriv_at_one(setup, n, k):
@@ -207,25 +209,22 @@ def connection_reconstruct(setup, n, x):
     """Evaluate the short connection combination at x (scalar or array).
 
     ``n`` is one degree or a sequence of degrees; a sequence gives an array
-    of shape (len(n),) + x.shape, row k for degree n[k].  Every shifted
-    polynomial P_{n_k-i}^{(alpha+2i, beta)}, i <= j + 1, is one row of a
-    single stacked Clenshaw pass; a lone degree is the one-row case.
+    of shape (len(n),) + x.shape, row k for degree n[k].  For each shift
+    i <= j + 1 the polynomials P_{n_k-i}^{(alpha+2i, beta)} of every degree
+    are one stack in the basis of exponent alpha + 2i, evaluated in one
+    Clenshaw pass.
     """
     degrees = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    j = int(setup.j)
     p = setup.params
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    b = connection_coeffs(setup, degrees).T.reshape((j + 2, len(degrees)) + (1,) * arr.ndim)
-    # row (k, i) is P_{n_k-i}^{(alpha+2i, beta)}: the unit series e_{n_k-i},
-    # zero-padded to the largest degree, in the basis of exponent alpha + 2i,
-    # whose recurrence row i every degree shares
-    i = np.arange(j + 2)
-    unit = np.zeros((len(degrees), j + 2, degrees.max() + 1))
-    unit[np.arange(len(degrees))[:, None], i, degrees[:, None] - i] = 1.0
-    A, B, C = kernels.jacobi_recurrence(degrees.max() + 2, p.a + 2.0 * i[:, None], p.b)
-    shifted = kernels.clenshaw_batch(unit, A, B, C, arr)
+    b = connection_coeffs(setup, degrees).T.reshape((-1, len(degrees)) + (1,) * arr.ndim)
     total = np.zeros((len(degrees),) + arr.shape)
-    for k in range(j + 2):
-        total += b[k] * (1.0 - arr) ** k * shifted[:, k]
+    rows = np.arange(len(degrees))
+    for i in range(int(setup.j) + 2):
+        # row k is the unit series e_{n_k-i}, zero-padded to the largest degree
+        unit = np.zeros((len(degrees), degrees.max() + 1))
+        unit[rows, degrees - i] = 1.0
+        shifted = clenshaw_eval(JacobiSeries(JacobiParams(p.a + 2.0 * i, p.b), unit), arr)
+        total += b[i] * (1.0 - arr) ** i * shifted
     total = total.reshape(np.shape(n) + np.shape(x))
     return float(total) if total.ndim == 0 else total

@@ -191,9 +191,13 @@ def _bessel_z(nu, x):
 def _mcmahon_guess(nu, i):
     beta = (i + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
-    return (beta
-            - (mu - 1.0) / (8.0 * beta)
-            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
+    try:
+        return (beta
+                - (mu - 1.0) / (8.0 * beta)
+                - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
+    except OverflowError:
+        raise OverflowError(f"McMahon's estimate of zero {i} of the Bessel function "
+                            f"of order {nu:g} is beyond the double range") from None
 
 
 def bessel_j_zero(nu, i):

@@ -4,7 +4,8 @@ The finite-degree properties work on stacks, not per-degree loops: each
 preset's Sobolev series of degree <= 100 are built once into a zero-padded
 coefficient stack.  The orthogonality check reads its rows; the
 connection-reconstruct check evaluates rows j+1..60 in one stacked
-Clenshaw pass and the connection formula at all those degrees in another.
+Clenshaw pass and the connection formula at all those degrees in one
+stacked pass per shifted basis.
 
 Pure computation: callers (the CLI, the test suite) decide how to render
 or persist the reports.
@@ -15,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import golden, kernels
+from . import golden
 from .asymptotics import limit_coeffs, limit_eval, order_zero_identity_residual
 from .errors import ConfigError
-from .jacobi import deriv_at_one, norm2, scaled_eval
+from .jacobi import JacobiSeries, clenshaw_eval, deriv_at_one, norm2, scaled_eval
 from .presets import SETUPS
-from .sobolev import (
-    _series_coeffs,
-    connection_reconstruct,
-    mass,
-    q_deriv_at_one,
-    sobolev_polynomial,
-)
+from .sobolev import connection_reconstruct, mass, q_deriv_at_one, sobolev_polynomial
 from .special_functions import bessel_j, log_gamma
 from .zeros import convergence_table, sobolev_zeros
 
@@ -109,11 +104,10 @@ def _orthogonality_worst(setup, stack):
 
 def _reconstruct_worst(setup, stack, n_max):
     # degrees j+1..n_max: the rows of the stack in one pass, the connection
-    # formula in another
+    # formula in one pass per shifted basis
     grid = np.linspace(-1.0, 1.0, 21)
-    p = setup.params
-    A, B, C = kernels.jacobi_recurrence(n_max + 2, p.a, p.b)
-    direct = kernels.clenshaw_batch(stack[setup.j + 1:n_max + 1, :n_max + 1], A, B, C, grid)
+    rows = JacobiSeries(setup.params, stack[setup.j + 1:n_max + 1, :n_max + 1])
+    direct = clenshaw_eval(rows, grid)
     rebuilt = connection_reconstruct(setup, range(setup.j + 1, n_max + 1), grid)
     err = np.max(np.abs(direct - rebuilt), axis=1) / np.max(np.abs(direct), axis=1)
     return float(np.max(err))
@@ -164,7 +158,7 @@ def run_properties(zero_sets=None):
     # one stack is alive at a time
     ortho, rebuilt = [], []
     for s in SETUPS.values():
-        stack = _series_coeffs(s, np.arange(101))
+        stack = sobolev_polynomial(s, np.arange(101)).coeffs
         ortho.append(_orthogonality_worst(s, stack))
         rebuilt.append(_reconstruct_worst(s, stack, 60))
     out.append(PropertyReport("sobolev-orthogonality(n<=100)", max(ortho), 1e-9))

@@ -34,7 +34,7 @@ from .asymptotics import (
     limit_eval,
 )
 from .errors import NumericError
-from .jacobi import derivative_series
+from .jacobi import clenshaw_eval, derivative_series
 from .sobolev import sobolev_polynomial
 from .special_functions import _mcmahon_guess
 
@@ -78,29 +78,30 @@ def _sorted_distinct(v):
 _LADDER = 1e-9 * 2.0 ** (np.arange(360) / 8.0)
 
 
-def _brackets(c, A, B, C, grid):
-    """Sign-change brackets (lo, hi, f(lo), f(hi)) of the series ``c`` on the
-    ascending ``grid``, and the grid points where it is exactly zero.
+def _brackets(series, grid):
+    """Sign-change brackets (lo, hi, f(lo), f(hi)) of the Jacobi series on
+    the ascending ``grid``, and the grid points where it is exactly zero.
 
     With a positive leading coefficient a zero lies above the grid exactly
     when the series is negative at its top; that zero is bracketed by the
     first sign change of the ladder top + 1e-9 2^(k/8), k = 0..359, up to
     the ladder's first value that is not finite.
     """
+    n = len(series.coeffs) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = kernels.clenshaw_batch(c, A, B, C, grid)
+        vals = clenshaw_eval(series, grid)
     if not np.isfinite(vals).all():
-        raise NumericError(f"degree {len(c) - 1}: the series overflows a double on "
+        raise NumericError(f"degree {n}: the series overflows a double on "
                            f"the bracket grid")
     if vals[-1] < 0.0:
         ladder = grid[-1] + _LADDER
         with np.errstate(over="ignore", invalid="ignore"):
-            lv = kernels.clenshaw_batch(c, A, B, C, ladder)
+            lv = clenshaw_eval(series, ladder)
         finite = np.logical_and.accumulate(np.isfinite(lv))
         up = np.flatnonzero(finite & (lv >= 0.0))
         if len(up) == 0:
             raise NumericError(
-                f"degree {len(c) - 1}: negative at x = {grid[-1]:.17g} and no sign "
+                f"degree {n}: negative at x = {grid[-1]:.17g} and no sign "
                 f"change found above it")
         grid = np.concatenate([grid, ladder[:up[0] + 1]])
         vals = np.concatenate([vals, lv[:up[0] + 1]])
@@ -110,14 +111,10 @@ def _brackets(c, A, B, C, grid):
 
 
 def _roots_from_grid(series, grid):
-    c = series.coeffs
-    A, B, C = kernels.jacobi_recurrence(len(c) + 1, series.params.a, series.params.b)
-    lo, hi, flo, fhi, exact = _brackets(c, A, B, C, grid)
+    lo, hi, flo, fhi, exact = _brackets(series, grid)
     d = derivative_series(series)
-    Ad, Bd, Cd = kernels.jacobi_recurrence(len(d.coeffs) + 1, d.params.a, d.params.b)
     roots = kernels.refine_brackets(
-        lambda x: (kernels.clenshaw_batch(c, A, B, C, x),
-                   kernels.clenshaw_batch(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
+        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), lo, hi, flo, fhi)
     if len(exact):
         roots = np.concatenate([roots, exact])
     return np.sort(roots)

@@ -12,13 +12,7 @@ from sobolev_mh.config import _FIELDS, _REQUIRED, parse_config
 from sobolev_mh.errors import ConfigError
 from sobolev_mh.jacobi import clenshaw_eval, deriv_at_one, norm2
 from sobolev_mh.presets import SETUPS, get_preset, preset_names
-from sobolev_mh.sobolev import (
-    _series_coeffs,
-    connection_reconstruct,
-    mass,
-    q_deriv_at_one,
-    sobolev_polynomial,
-)
+from sobolev_mh.sobolev import connection_reconstruct, mass, q_deriv_at_one, sobolev_polynomial
 
 LEGENDRE_CFG = """\
 [experiment]
@@ -385,6 +379,8 @@ class TestCliErrors:
         ("limits", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
         ("zeros", "M = 0", "M = 1e400"),
         ("limits", "M = 0", "M = 1e400"),
+        # a scan grid too large for numpy: a library ValueError
+        ("limits", "alpha = 0", "alpha = 1e20"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
@@ -431,17 +427,29 @@ class TestCliErrors:
         assert err.startswith("numeric failure: found 9 of 10 zeros")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables"])
+    @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables", "zeros"])
     def test_overflow_is_one_line(self, tmp_path, capsys, job):
         # critical: the constant G of the limit coefficients is above the
         # double range, at alpha = 91 only once multiplied by alpha + 2; at
         # M = 1e308, M + G is a double and (alpha + 2)(M + G) is not
-        cases = [(_plain_cfg(alpha, 2 * (alpha + 1)),
+        limit = [(_plain_cfg(alpha, 2 * (alpha + 1)),
                   f"the limit constant G is above the double range at alpha = {alpha}, "
                   f"beta = 0, j = 0") for alpha in (91, 100)]
-        cases.append((_plain_cfg(1, 4, "150 500").replace("M = 1", "M = 1e308"),
-                       "the mass limit M = 1e+308 is above the double range at alpha = 1, "
-                       "j = 0"))
+        limit.append((_plain_cfg(1, 4, "150 500").replace("M = 1", "M = 1e308"),
+                      "the mass limit M = 1e+308 is above the double range at alpha = 1, "
+                      "j = 0"))
+        # the power n ** gamma of a mass family overflows, or underflows
+        # into a divisor
+        masses = [(LEGENDRE_CFG.replace("alpha = 0", "alpha = 1").replace("M = 0", "M = 1")
+                   .replace("mass = plain", f"mass = {kind}")
+                   .replace("gamma = 2", f"gamma = {gamma}")
+                   .replace("degrees = 10", f"degrees = {n}"),
+                   f"the {kind} mass at n = {n}, gamma = {shown} is beyond the double range")
+                  for kind, gamma, n, shown in (("log-ratio", -400, 10, "-400"),
+                                                ("exp-rational", -400, 700, "-400"),
+                                                ("plain", -1e300, 10, "-1e+300"),
+                                                ("poly-ratio", 1e300, 10, "1e+300"))]
+        cases = {"limits": limit, "zeros": masses}.get(job, limit + masses)
         for text, message in cases:
             cfg = _write_cfg(tmp_path, text)
             with warnings.catch_warnings():
@@ -465,6 +473,10 @@ class TestCliErrors:
             a, b = ("1e+300", "0") if key == "alpha" else ("0", "1e+300")
             assert err == (f"numeric failure: the Jacobi recurrence at alpha = {a}, "
                            f"beta = {b} is not finite in double precision\n")
+        else:
+            # the u-grid bound of the bracket grid, before any recurrence
+            assert err == ("numeric failure: McMahon's estimate of zero 3 of the Bessel "
+                           "function of order 1e+300 is beyond the double range\n")
 
     def test_grid_overflow_is_one_line(self, tmp_path, capsys):
         # alpha = 300, n = 3000: P_n(1) is above the double range, so the
@@ -515,7 +527,7 @@ class TestVerifyJob:
     @pytest.mark.parametrize("name", sorted(SETUPS))
     def test_stacked_checks_equal_degree_loops(self, name):
         setup = SETUPS[name]
-        stack = _series_coeffs(setup, np.arange(101))
+        stack = sobolev_polynomial(setup, np.arange(101)).coeffs
         assert verify_mod._orthogonality_worst(setup, stack) == _orthogonality_loop(setup, 100)
         assert (verify_mod._reconstruct_worst(setup, stack, 60)
                 == _reconstruct_loop(setup, 60))

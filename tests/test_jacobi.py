@@ -212,36 +212,45 @@ class TestStackedClenshaw:
                                     (-0.9, -0.9), (3.0, -0.5), (10.0, 5.0)])
     @pytest.mark.parametrize("m", [0, 1, 2, 61, 5002])
     def test_recurrence_column_equals_scalar_calls(self, ab, m):
+        # one recurrence per pair of scalar exponents, equal to the loop; a
+        # column of exponents is refused
         a, b = ab
-        stacked = kernels.jacobi_recurrence(m, a + 2.0 * np.arange(4)[:, None], b)
         for r in range(4):
             scalar = kernels.jacobi_recurrence(m, a + 2.0 * r, b)
-            for s_arr, v, ref in zip(stacked, scalar, _recurrence_loop(m, a + 2.0 * r, b)):
+            for v, ref in zip(scalar, _recurrence_loop(m, a + 2.0 * r, b)):
                 np.testing.assert_array_equal(v, ref)
-                np.testing.assert_array_equal(s_arr[r], v)
+        with pytest.raises(TypeError):
+            kernels.jacobi_recurrence(m, a + 2.0 * np.arange(4)[:, None], b)
 
     @pytest.mark.parametrize("points", [1, 1000])
     @pytest.mark.parametrize("above", [False, True])
     def test_stack_equals_rows(self, points, above):
-        # rows of degree 60, 30 (zero-padded) and 0, plus one degree-60 row
+        # rows of degree 60, 30 (zero-padded) and 0, plus one degree-60 row,
+        # in one shared basis for each alpha
         rng = np.random.default_rng(points)
         c = rng.standard_normal((4, 61))
         c[1, 31:] = 0.0
         c[2, 1:] = 0.0
-        A, B, C = kernels.jacobi_recurrence(62, self.ALPHAS[:, None], 0.5)
         # above 1 the degree-60 rows overflow from x ~ 1e5 on
         x = (np.geomspace(1e8, 1.0, points) if above
              else np.linspace(-1.0, 1.0, points))
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = kernels.clenshaw_batch(c, A, B, C, x)
-            assert got.shape == (4, points)
-            for r, a in enumerate(self.ALPHAS):
-                deg = int(np.flatnonzero(c[r])[-1])
-                Ar, Br, Cr = kernels.jacobi_recurrence(deg + 2, a, 0.5)
-                one = kernels.clenshaw_batch(c[r, :deg + 1], Ar, Br, Cr, x)
-                np.testing.assert_array_equal(got[r], one)
-        if above:
-            assert not np.all(np.isfinite(got))  # the overflow reached the rows
+        for a in self.ALPHAS:
+            p = JacobiParams(a, 0.5)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = clenshaw_eval(JacobiSeries(p, c), x)
+                assert got.shape == (4, points)
+                for r in range(4):
+                    deg = int(np.flatnonzero(c[r])[-1])
+                    one = clenshaw_eval(JacobiSeries(p, c[r, :deg + 1]), x)
+                    np.testing.assert_array_equal(got[r], one)
+            if above:
+                assert not np.all(np.isfinite(got))  # the overflow reached the rows
+        # a scalar point gives one value per row; a per-row recurrence is refused
+        s = JacobiSeries(P01, c)
+        np.testing.assert_array_equal(clenshaw_eval(s, 0.25), clenshaw_eval(s, [0.25])[:, 0])
+        A, B, C = s.recurrence
+        with pytest.raises(ValueError):
+            kernels.clenshaw_batch(c, np.stack([A] * 4), B, C, x)
 
     def test_lone_point_equals_pair(self):
         # up to 16 points a 1-d series steps over Python floats, from 17 on

@@ -161,6 +161,20 @@ class TestSobolevPolynomial:
     def test_leading_coefficient_unit(self, tabulated_setup):
         assert sobolev_polynomial(tabulated_setup, 37).coeffs[-1] == 1.0
 
+    def test_stacked_degrees_equal_single_degrees(self, tabulated_setup):
+        # row r of the stack is the degree-n[r] series bit for bit, padded
+        # with zeros, and evaluates to the same bits as that series
+        degrees = np.array([37, 1, 500, 0, 120])
+        stack = sobolev_polynomial(tabulated_setup, degrees)
+        assert stack.coeffs.shape == (5, 501)
+        x = np.linspace(-1.0, 1.0, 9)
+        values = clenshaw_eval(stack, x)
+        for r, n in enumerate(degrees):
+            one = sobolev_polynomial(tabulated_setup, n)
+            np.testing.assert_array_equal(stack.coeffs[r, :n + 1], one.coeffs)
+            assert not stack.coeffs[r, n + 1:].any()
+            np.testing.assert_array_equal(values[r], clenshaw_eval(one, x))
+
     @pytest.mark.parametrize("n", [10, 37, 64, 100])
     def test_orthogonality_residual(self, tabulated_setup, n):
         s = tabulated_setup

@@ -18,7 +18,7 @@ from reference_values import TRUE_TABLES
 from sobolev_mh import kernels
 from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
 from sobolev_mh.errors import NumericError
-from sobolev_mh.jacobi import JacobiParams, clenshaw_eval, derivative_series
+from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval, derivative_series
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.zeros import (
@@ -82,9 +82,7 @@ def _counted_refine(setup, n, monkeypatch):
     brackets and the Clenshaw passes the refine took."""
     series = sobolev_polynomial(setup, n)
     d = derivative_series(series)
-    A, B, C = kernels.jacobi_recurrence(n + 2, series.params.a, series.params.b)
-    Ad, Bd, Cd = kernels.jacobi_recurrence(n + 1, d.params.a, d.params.b)
-    lo, hi, flo, fhi, exact = _brackets(series.coeffs, A, B, C, _bracket_grid(setup, n))
+    lo, hi, flo, fhi, exact = _brackets(series, _bracket_grid(setup, n))
     assert len(lo) == n and len(exact) == 0
 
     passes = 0
@@ -96,11 +94,10 @@ def _counted_refine(setup, n, monkeypatch):
         return clenshaw(*args)
 
     monkeypatch.setattr(kernels, "clenshaw_batch", counted)
-    # the (Q, Q') closure the zero extraction passes; it looks the Clenshaw
-    # kernel up at call time, so each pass is counted
+    # the (Q, Q') closure the zero extraction passes; clenshaw_eval looks the
+    # Clenshaw kernel up at call time, so each pass is counted
     roots = kernels.refine_brackets(
-        lambda x: (kernels.clenshaw_batch(series.coeffs, A, B, C, x),
-                   kernels.clenshaw_batch(d.coeffs, Ad, Bd, Cd, x)), lo, hi, flo, fhi)
+        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), lo, hi, flo, fhi)
     monkeypatch.undo()
     return roots, lo, hi, passes
 
@@ -134,10 +131,9 @@ def test_far_exterior_zero_is_found():
 
 def test_exterior_ladder_without_sign_change_is_a_numeric_error():
     # -1 - P_1: negative at 1 and decreasing above it
-    c = np.array([-1.0, -1.0])
-    A, B, C = kernels.jacobi_recurrence(3, 0.0, 0.0)
+    series = JacobiSeries(JacobiParams(0.0, 0.0), [-1.0, -1.0])
     with pytest.raises(NumericError, match="no sign change"):
-        _brackets(c, A, B, C, np.linspace(-1.0, 1.0, 5))
+        _brackets(series, np.linspace(-1.0, 1.0, 5))
 
 
 SWEEP_ALPHA = (-0.9, 0, 3, 10)
