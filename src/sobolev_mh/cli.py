@@ -4,7 +4,8 @@
                [--full-precision] [--slow]
 
 Jobs: tables, zeros, mh-curve, limits, verify.  Exit codes: 0 ok, 1
-verification failure, 2 configuration error or other ValueError, 3 numeric failure.
+verification failure, 2 configuration error, other ValueError or path error
+(--config or --out; checked before the job runs), 3 numeric failure.
 """
 
 import argparse
@@ -186,6 +187,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         if args.job == "verify":
             return _run_verify(args)
         if args.preset:
@@ -206,7 +208,12 @@ def main(argv=None):
             atomic_write_text(path, text)
             print(path)
         return 0
-    except (ValueError, FileNotFoundError) as e:
+    except OSError as e:
+        if e.filename is None:  # no path, such as a closed stdout
+            raise
+        print(f"path error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError) as e:

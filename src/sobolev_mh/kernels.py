@@ -1,4 +1,4 @@
-"""Hot numeric kernels: Jacobi recurrences, Clenshaw sums and bracket refinement.
+"""Hot numeric kernels: Jacobi recurrences, Clenshaw sums and the zero scan.
 
 One backend, vectorized numpy: each kernel loops in Python over the
 recurrence index and in numpy over the evaluation points, so one pass of a
@@ -15,19 +15,18 @@ same order, so bit for bit the numpy result: a numpy step costs ~6 ufunc
 calls whatever the point count, a float step ~0.2 us per point, and the
 two cross near 25-30 points.
 
-``refine_brackets`` converges every sign-change bracket together with a
-safeguarded Newton method on any function that returns values and
-derivatives on an array: the polynomial zeros pass it a pair of
-``clenshaw_eval`` sums, and ``_scan_zeros``
-uses it for the first zeros of a function on (0, inf), the Bessel zeros
-and the limit-function zeros.  Each bracket
-starts from its secant point, the zero of the chord through its two end
-values (the midpoint when that point is not strictly inside).  A root is
-done once its Newton step is below 1e-15 relative to max(1, |x|), on an
-exact zero of the function, or when its bracket is at most 1e-13 wide.  A
-step falls back to bisection only when Newton would leave the bracket or
-fails to halve the step before the last one (``rtsafe``, Numerical
-Recipes, 3rd ed., section 9.4).
+``grid_roots`` is the one sign-change scan: the polynomial, limit-function
+and Bessel zeros all come from one pass of it over a grid.  It compares
+``np.sign`` of neighbouring values (their product may underflow) and counts
+a grid point where f is exactly 0 only between values of opposite sign.
+``refine_brackets`` converges all its brackets together with a safeguarded
+Newton method on any function that returns values and derivatives on an
+array, from the secant point of each bracket (its midpoint when that point
+is not strictly inside).  A root is done once its Newton step is below
+1e-15 relative to max(1, |x|), on an exact zero of the function, or when
+its bracket is at most 1e-13 wide.  A step falls back to bisection only
+when Newton would leave the bracket or fails to halve the step before the
+last one (``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
@@ -179,16 +178,22 @@ def refine_brackets(fdf, lo, hi, flo, fhi):
     return out
 
 
+def grid_roots(fdf, grid, vals, count=None):
+    """The first ``count`` zeros (all when None), ascending, of f with the
+    values ``vals`` on the ascending ``grid``: its refined sign changes and
+    the grid points where f is 0 between values of opposite sign."""
+    sgn = np.sign(vals)
+    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)[:count]
+    exact = np.flatnonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0.0)) + 1
+    roots = refine_brackets(fdf, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
+    return np.sort(np.concatenate([roots, grid[exact]]))[:count]
+
+
 def _scan_zeros(f, fdf, step, top, count):
-    """The first ``count`` positive zeros of f: its sign changes on the grid
-    1e-3 + k step below ``top`` (doubled at most four times until it holds
-    them), refined together by ``refine_brackets`` with ``fdf``; f acts on
-    arrays."""
-    for _ in range(5):
-        xs = np.arange(1e-3, top, step)
-        vals = f(xs)
-        idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:count]
-        if len(idx) == count:
-            return refine_brackets(fdf, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
-        top *= 2.0
-    raise NumericError(f"found only {len(idx)} of {count} zeros below {top / 2.0:g}")
+    """The first ``count`` positive zeros of f (which acts on arrays) from
+    one ``grid_roots`` pass over the grid 1e-3 + k step below ``top``."""
+    xs = np.arange(1e-3, top, step)
+    roots = grid_roots(fdf, xs, f(xs), count)
+    if len(roots) < count:
+        raise NumericError(f"found only {len(roots)} of {count} zeros below {top:g}")
+    return roots

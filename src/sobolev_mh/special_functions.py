@@ -9,10 +9,10 @@ started at 1/Gamma(nu+1) and summed in extended precision; J_nu multiplies
 it by (x/2)^nu.  Above the crossover J_nu comes from the large-argument
 expansion (DLMF 10.17) at a base order in [-1/2, 1/2) followed by the
 upward order recurrence (DLMF 10.6), and z_nu divides it by (x/2)^nu.
-Bessel zeros are found by the scan-and-refine shared with the
-limit-function zeros (``kernels._scan_zeros``: a 0.18 grid up to a little
-past McMahon's estimate of the last zero wanted, then the safeguarded
-Newton method shared with the polynomial zeros).
+Bessel zeros come from one pass of the sign-change scan shared with the
+polynomial and limit-function zeros (``kernels._scan_zeros``: a 0.18 grid
+up to a little past McMahon's estimate of the last zero wanted, then the
+safeguarded Newton method of ``kernels.grid_roots``).
 """
 
 import math

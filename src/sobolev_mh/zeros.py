@@ -6,16 +6,16 @@ them: a cosine sweep of [-1, 1] with four points per zero gap in theta, and
 a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
 0.2, over the first j + 16 Bessel zeros of order alpha, where the scaled
 zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
-negative is there a zero above 1, and the ladder 1 + 1e-9 2^(k/8),
-k = 0..359, evaluated with overflow ignored, brackets it at its first sign
-change; ``ZeroSet.outside_count`` reports it.  One pass over this grid
-brackets every zero; a set it leaves short is a ``NumericError``.  The
-scaled zeros n sqrt(2(1 - y)) are formed only by ``convergence_table``.
+not positive is there a zero at or above 1, and the ladder
+1 + 1e-9 2^(k/8), k = 0..359, evaluated with overflow ignored, extends the
+grid to its first positive value; ``ZeroSet.outside_count`` reports that
+zero.  One pass of ``kernels.grid_roots`` over this grid finds every zero;
+a set it leaves short is a ``NumericError``.  The scaled zeros
+n sqrt(2(1 - y)) are formed only by ``convergence_table``.
 
-The first `count` zeros of the limit function (b_0, ..., b_{j+1}) are
-bracketed by a 0.02 scan from 1e-3 up to McMahon's estimate of the
-(count + j + 2)-th Bessel zero of order alpha plus 5, and refined all
-together by the same safeguarded Newton method on its value and derivative
+The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
+one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
+estimate of the (count + j + 2)-th Bessel zero of order alpha plus 5
 (``kernels._scan_zeros``, shared with the Bessel zeros).
 """
 
@@ -79,45 +79,30 @@ _LADDER = 1e-9 * 2.0 ** (np.arange(360) / 8.0)
 
 
 def _brackets(series, grid):
-    """Sign-change brackets (lo, hi, f(lo), f(hi)) of the Jacobi series on
-    the ascending ``grid``, and the grid points where it is exactly zero.
-
-    With a positive leading coefficient a zero lies above the grid exactly
-    when the series is negative at its top; that zero is bracketed by the
-    first sign change of the ladder top + 1e-9 2^(k/8), k = 0..359, up to
-    the ladder's first value that is not finite.
-    """
+    """The Jacobi series on the ascending ``grid``: (grid, values), the grid
+    extended by the ladder top + 1e-9 2^(k/8), k = 0..359, up to its first
+    positive value before any that is not finite, when the series is not
+    positive at the top (with a positive leading coefficient, exactly when a
+    zero lies at or above it)."""
     n = len(series.coeffs) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         vals = clenshaw_eval(series, grid)
     if not np.isfinite(vals).all():
         raise NumericError(f"degree {n}: the series overflows a double on "
                            f"the bracket grid")
-    if vals[-1] < 0.0:
+    if vals[-1] <= 0.0:
         ladder = grid[-1] + _LADDER
         with np.errstate(over="ignore", invalid="ignore"):
             lv = clenshaw_eval(series, ladder)
         finite = np.logical_and.accumulate(np.isfinite(lv))
-        up = np.flatnonzero(finite & (lv >= 0.0))
+        up = np.flatnonzero(finite & (lv > 0.0))
         if len(up) == 0:
             raise NumericError(
-                f"degree {n}: negative at x = {grid[-1]:.17g} and no sign "
+                f"degree {n}: not positive at x = {grid[-1]:.17g} and no sign "
                 f"change found above it")
         grid = np.concatenate([grid, ladder[:up[0] + 1]])
         vals = np.concatenate([vals, lv[:up[0] + 1]])
-    sgn = np.sign(vals)
-    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
-    return grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], grid[vals == 0.0]
-
-
-def _roots_from_grid(series, grid):
-    lo, hi, flo, fhi, exact = _brackets(series, grid)
-    d = derivative_series(series)
-    roots = kernels.refine_brackets(
-        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), lo, hi, flo, fhi)
-    if len(exact):
-        roots = np.concatenate([roots, exact])
-    return np.sort(roots)
+    return grid, vals
 
 
 def sobolev_zeros(setup, n):
@@ -126,7 +111,10 @@ def sobolev_zeros(setup, n):
     if n < 1:
         raise ValueError("zero extraction needs degree >= 1")
     series = sobolev_polynomial(setup, n)
-    roots = _roots_from_grid(series, _bracket_grid(setup, n))
+    grid, vals = _brackets(series, _bracket_grid(setup, n))
+    d = derivative_series(series)
+    roots = kernels.grid_roots(lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)),
+                               grid, vals)
     if len(roots) != n:
         raise NumericError(
             f"found {len(roots)} of {n} zeros for degree {n}; "

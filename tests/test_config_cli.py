@@ -340,6 +340,25 @@ class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["tables", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["tables", "--config", "{tmp}/nope.cfg"], id="missing-config"),
+        pytest.param(["zeros", "--config", "{tmp}"], id="config-is-a-directory"),
+        pytest.param(["zeros", "--config", "{cfg}", "--out", "{file}"], id="out-is-a-file"),
+        pytest.param(["verify", "--out", "{file}"], id="verify-out-is-a-file"),
+        pytest.param(["zeros", "--config", "{cfg}", "--out", "{file}/sub"],
+                     id="out-below-a-file"),
+    ])
+    def test_path_error_is_one_line(self, tmp_path, capsys, argv):
+        # a path that cannot be read or written is exit 2 with one line,
+        # before any job runs (verify prints no report)
+        paths = {"tmp": str(tmp_path), "cfg": _write_cfg(tmp_path, LEGENDRE_CFG),
+                 "file": str(tmp_path / "a-file")}
+        (tmp_path / "a-file").write_text("")
+        assert main([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("path error: [Errno ") and len(err.splitlines()) == 1
+
     def test_malformed_config(self, tmp_path):
         cfg = _write_cfg(tmp_path, "not a config\n")
         assert main(["tables", "--config", cfg]) == 2
@@ -415,12 +434,12 @@ class TestCliErrors:
         assert capsys.readouterr().err == ""
 
     def test_numeric_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
-        from sobolev_mh import zeros
+        from sobolev_mh import kernels
 
-        found = zeros._roots_from_grid
+        found = kernels.grid_roots
         # a grid that misses a zero, as the exterior zero above 1.5 does
-        monkeypatch.setattr(zeros, "_roots_from_grid",
-                            lambda series, grid: found(series, grid)[1:])
+        monkeypatch.setattr(kernels, "grid_roots",
+                            lambda fdf, grid, vals: found(fdf, grid, vals)[1:])
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG)
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -487,6 +506,27 @@ class TestCliErrors:
             assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == ("numeric failure: degree 3000: the series "
                                            "overflows a double on the bracket grid\n")
+
+    @pytest.mark.parametrize("alpha, rc", [(50, 0), (90, 0), (300, 3)])
+    def test_limit_zero_scan_is_one_pass(self, tmp_path, capsys, monkeypatch, alpha, rc):
+        # the limit zeros come from one scan pass; at alpha = 300 the limit
+        # function underflows to 0 on the whole grid, so the pass finds none
+        from sobolev_mh import kernels
+
+        passes = 0
+        found = kernels.grid_roots
+
+        def counted(*args):
+            nonlocal passes
+            passes += 1
+            return found(*args)
+
+        monkeypatch.setattr(kernels, "grid_roots", counted)
+        cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 1))
+        assert main(["limits", "--config", cfg, "--out", str(tmp_path)]) == rc
+        assert passes == 1
+        assert capsys.readouterr().err == ("" if rc == 0 else "numeric failure: found only "
+                                           "0 of 4 zeros below 382.169\n")
 
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit):

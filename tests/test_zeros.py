@@ -22,6 +22,7 @@ from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval, derivat
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.zeros import (
+    _LADDER,
     _bracket_grid,
     _brackets,
     convergence_table,
@@ -78,12 +79,14 @@ def test_zeros_match_comrade_eigenvalues(tabulated_setup, n):
 
 
 def _counted_refine(setup, n, monkeypatch):
-    """Refine the brackets of the degree-n zero grid; return the roots, the
-    brackets and the Clenshaw passes the refine took."""
+    """Scan the degree-n zero grid; return the roots, the brackets and the
+    Clenshaw passes the refine took."""
     series = sobolev_polynomial(setup, n)
     d = derivative_series(series)
-    lo, hi, flo, fhi, exact = _brackets(series, _bracket_grid(setup, n))
-    assert len(lo) == n and len(exact) == 0
+    grid, vals = _brackets(series, _bracket_grid(setup, n))
+    sgn = np.sign(vals)
+    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
+    assert len(idx) == n and not (vals == 0.0).any()
 
     passes = 0
     clenshaw = kernels.clenshaw_batch
@@ -96,10 +99,10 @@ def _counted_refine(setup, n, monkeypatch):
     monkeypatch.setattr(kernels, "clenshaw_batch", counted)
     # the (Q, Q') closure the zero extraction passes; clenshaw_eval looks the
     # Clenshaw kernel up at call time, so each pass is counted
-    roots = kernels.refine_brackets(
-        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), lo, hi, flo, fhi)
+    roots = kernels.grid_roots(
+        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), grid, vals)
     monkeypatch.undo()
-    return roots, lo, hi, passes
+    return roots, grid[idx], grid[idx + 1], passes
 
 
 def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
@@ -136,6 +139,49 @@ def test_exterior_ladder_without_sign_change_is_a_numeric_error():
         _brackets(series, np.linspace(-1.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("root, grid_len", [(1.0, 5 + 1), (1.0 + _LADDER[10], 5 + 12)])
+def test_exact_zero_at_the_grid_top_or_on_a_rung_is_found(root, grid_len):
+    # x - root is 0 at the top of the grid or on the tenth ladder rung; the
+    # ladder runs to its first positive rung, so the exact zero is flanked
+    series = JacobiSeries(JacobiParams(0.0, 0.0), [-root, 1.0])
+    grid, vals = _brackets(series, np.linspace(-1.0, 1.0, 5))
+    assert len(grid) == grid_len and vals[-2] == 0.0 and vals[-1] > 0.0
+    roots = kernels.grid_roots(lambda x: (clenshaw_eval(series, x), np.ones_like(x)),
+                               grid, vals)
+    assert roots.tolist() == [root]
+
+
+def test_scan_keeps_values_whose_products_underflow():
+    # neighbouring values of 1e-170 sin(x) multiply to 0 in double precision
+    roots = kernels._scan_zeros(lambda x: 1e-170 * np.sin(x),
+                                lambda x: (1e-170 * np.sin(x), 1e-170 * np.cos(x)),
+                                0.02, 10.0, 3)
+    assert np.max(np.abs(roots - np.pi * np.arange(1, 4))) <= 1e-13
+
+
+def test_scan_finds_a_zero_on_a_grid_point():
+    z = np.arange(1e-3, 10.0, 0.5)[4]
+    roots = kernels._scan_zeros(lambda x: x - z, lambda x: (x - z, np.ones_like(x)),
+                                0.5, 10.0, 1)
+    assert roots.tolist() == [z]
+
+
+def test_scan_of_an_underflowing_function_is_one_pass_and_an_error():
+    # zero on the whole grid: no sign change, and no exact zero between
+    # values of opposite sign
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return np.zeros_like(x)
+
+    with pytest.raises(NumericError) as info:
+        kernels._scan_zeros(f, lambda x: (f(x), np.ones_like(x)), 0.02, 10.0, 3)
+    assert calls == 1
+    assert str(info.value) == "found only 0 of 3 zeros below 10"
+
+
 SWEEP_ALPHA = (-0.9, 0, 3, 10)
 
 
@@ -145,17 +191,15 @@ def test_robustness_sweep(alpha, n, monkeypatch):
     """Every case of the sweep beta in {-1/2, 5}, j in {0, 1, 3, 6}, gamma in
     {1, 12, 40}, M in {1, 1e6} finds n zeros, at most one above 1, on the
     first grid pass and without a RuntimeWarning."""
-    import sobolev_mh.zeros as zmod
-
     passes = 0
-    found = zmod._roots_from_grid
+    found = kernels.grid_roots
 
-    def counted(series, grid):
+    def counted(fdf, grid, vals):
         nonlocal passes
         passes += 1
-        return found(series, grid)
+        return found(fdf, grid, vals)
 
-    monkeypatch.setattr(zmod, "_roots_from_grid", counted)
+    monkeypatch.setattr(kernels, "grid_roots", counted)
     for beta, j, gamma, M in itertools.product((-0.5, 5), (0, 1, 3, 6), (1, 12, 40),
                                                (1, 1e6)):
         case = f"alpha={alpha} beta={beta} j={j} gamma={gamma} M={M} n={n}"
