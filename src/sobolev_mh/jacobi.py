@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
+from .errors import NumericError
 from .special_functions import log_gamma
 
 
@@ -164,7 +165,8 @@ def derivative_series(series):
 
 def scaled_eval(series, u):
     """n^(-alpha) S(1 - u^2/(2 n^2)) for a Jacobi series S of degree n >= 1 (a
-    scalar or array u, |u| <= 2n): the left side of the Mehler-Heine formula."""
+    scalar or array u, |u| <= 2n): the left side of the Mehler-Heine formula.
+    A value that is not a finite double is a ``NumericError``."""
     n = len(series.coeffs) - 1
     if n < 1:
         raise ValueError("degree must be positive")
@@ -172,4 +174,8 @@ def scaled_eval(series, u):
     if np.any(uu * uu > 4.0 * n * n):
         raise ValueError("scaled argument leaves [-1, 1]")
     x = 1.0 - uu * uu / (2.0 * n * n)
-    return math.exp(-series.params.a * math.log(n)) * clenshaw_eval(series, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = math.exp(-series.params.a * math.log(n)) * clenshaw_eval(series, x)
+    if not np.isfinite(out).all():
+        raise NumericError(f"degree {n}: the scaled series overflows a double")
+    return out

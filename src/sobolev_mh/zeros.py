@@ -11,7 +11,10 @@ not positive is there a zero at or above 1, and the ladder
 grid to its first positive value; ``ZeroSet.outside_count`` reports that
 zero.  One pass of ``kernels.grid_roots`` over this grid finds every zero;
 a set it leaves short is a ``NumericError``.  The scaled zeros
-n sqrt(2(1 - y)) are formed only by ``convergence_table``.
+n sqrt(2(1 - y)) are formed only by ``convergence_table``, which leaves out
+the largest zero exactly when the limit function is negative at 0 (b_0 < 0):
+n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).  So a mass limit M = 0,
+the classical polynomial, excludes no zero in any regime.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
 one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
@@ -25,14 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .asymptotics import (
-    RegimeKind,
-    _limit,
-    classify_regime,
-    critical_mass_threshold,
-    limit_coeffs,
-    limit_eval,
-)
+from .asymptotics import _limit, limit_coeffs, limit_eval
 from .errors import NumericError
 from .jacobi import clenshaw_eval, derivative_series
 from .sobolev import sobolev_polynomial
@@ -136,7 +132,7 @@ def limit_zeros(lf, count):
 class TableRow:
     n: int
     raw: np.ndarray = field(repr=False)     # `count` largest zeros, descending
-    scaled: np.ndarray = field(repr=False)  # increasing, regime-excluded
+    scaled: np.ndarray = field(repr=False)  # increasing, the excluded zero left out
 
 
 @dataclass(frozen=True)
@@ -145,23 +141,6 @@ class ConvergenceTable:
     excluded: int
     rows: list
     limit: np.ndarray = field(repr=False)
-
-
-def regime_excluded_count(setup):
-    """How many leading zeros the scaled-zero correspondence skips: 1 when
-    the regime predicts an escaping largest zero (subcritical, or critical
-    with mass above the threshold), else 0.  Zero for derivative order 0."""
-    j = int(setup.j)
-    if j == 0:
-        return 0
-    regime = classify_regime(setup.mass.gamma, setup.params.alpha, j)
-    if regime.kind is RegimeKind.SUBCRITICAL:
-        return 1
-    if regime.kind is RegimeKind.CRITICAL:
-        V = critical_mass_threshold(setup.params.alpha, setup.params.beta, j)
-        if setup.mass.m > V:
-            return 1
-    return 0
 
 
 def convergence_table(setup, ns, count, zero_sets=None):
@@ -176,12 +155,16 @@ def convergence_table(setup, ns, count, zero_sets=None):
         raise ValueError("need at least one degree")
     if not 1 <= count <= ns[0]:
         raise ValueError("count must be in 1..min(degrees)")
-    excluded = regime_excluded_count(setup)
     zero_sets = {} if zero_sets is None else zero_sets
-    rows = []
     for n in ns:
         if n not in zero_sets:
             zero_sets[n] = sobolev_zeros(setup, n)
+    # built after the zeros, so that their failures come first; L(0) < 0
+    # is the largest zero above 1
+    lf = limit_coeffs(setup)
+    excluded = int(lf.b[0] < 0.0)
+    rows = []
+    for n in ns:
         zs = zero_sets[n]
         raw = zs.zeros[:count].copy()
         sel = zs.zeros[excluded:count]
@@ -189,6 +172,5 @@ def convergence_table(setup, ns, count, zero_sets=None):
         scaled = n * np.sqrt(2.0 * (1.0 - sel))
         rows.append(TableRow(n=n, raw=raw, scaled=scaled))
     # when the excluded zero is the only one asked for, the limit row is empty
-    lim = (limit_zeros(limit_coeffs(setup), count - excluded) if count > excluded
-           else np.empty(0))
+    lim = limit_zeros(lf, count - excluded) if count > excluded else np.empty(0)
     return ConvergenceTable(count=count, excluded=excluded, rows=rows, limit=lim)

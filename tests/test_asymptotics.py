@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -65,6 +66,24 @@ class TestMassThreshold:
     def test_needs_positive_order(self):
         with pytest.raises(ValueError):
             critical_mass_threshold(0.0, 0.0, 0)
+
+    def test_sign_of_b0_is_the_escape_rule(self):
+        # convergence_table excludes the largest zero when b_0 < 0: that must
+        # be the regime rule, subcritical or critical above the threshold,
+        # for a nonzero mass limit and a positive derivative order
+        alphas = (Fraction(-9, 10), Fraction(-1, 2), 0, 1, Fraction(15, 2), 40)
+        masses = (0, Fraction(1, 1000), 1, 5, 10**6)
+        for alpha, beta, j, kind, M, shift in itertools.product(
+                alphas, (Fraction(-9, 10), 0, 5), (0, 1, 2, 5), MassKind, masses,
+                (-1, 0, 1)):
+            gamma = 2 * (Fraction(alpha) + 2 * j + 1) + shift
+            custom = {1: 0.0} if kind is MassKind.CUSTOM else None
+            setup = SobolevSetup(JacobiParams(alpha, beta), j,
+                                 MassSequence(kind, M, gamma, custom))
+            m = setup.mass.m
+            escapes = j >= 1 and m > 0.0 and (
+                shift < 0 or (shift == 0 and m > critical_mass_threshold(alpha, beta, j)))
+            assert (limit_coeffs(setup).b[0] < 0.0) == escapes, (alpha, beta, j, kind, M, shift)
 
 
 class TestLimitCoeffs:

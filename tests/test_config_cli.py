@@ -507,6 +507,17 @@ class TestCliErrors:
         assert capsys.readouterr().err == ("numeric failure: degree 3000: the series "
                                            "overflows a double on the bracket grid\n")
 
+    @pytest.mark.parametrize("alpha, n", [(300, 3000), (10000, 150)])
+    def test_curve_overflow_is_one_line(self, tmp_path, capsys, alpha, n):
+        # the scaled series is not a double on the curve grid; mh-curve used
+        # to exit 0 with an empty q_n column after overflow warnings
+        cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 1, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mh-curve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"numeric failure: degree {n}: the scaled "
+                                           f"series overflows a double\n")
+
     @pytest.mark.parametrize("alpha, rc", [(50, 0), (90, 0), (300, 3)])
     def test_limit_zero_scan_is_one_pass(self, tmp_path, capsys, monkeypatch, alpha, rc):
         # the limit zeros come from one scan pass; at alpha = 300 the limit

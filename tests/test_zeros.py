@@ -27,7 +27,6 @@ from sobolev_mh.zeros import (
     _brackets,
     convergence_table,
     limit_zeros,
-    regime_excluded_count,
     sobolev_zeros,
 )
 
@@ -398,6 +397,17 @@ class TestLimitZeros:
         np.testing.assert_allclose(tb.limit, jn_zeros(3, 4), atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", [MassKind.PLAIN, MassKind.POLY_RATIO, MassKind.CUSTOM])
+def test_subcritical_zero_mass_excludes_no_zero(kind):
+    # M = 0 in the subcritical regime is the classical polynomial, whose
+    # largest zero stays in [-1, 1], so the rows pair with the Bessel zeros
+    custom = {150: 0.0, 500: 0.0} if kind is MassKind.CUSTOM else None
+    setup = SobolevSetup(JacobiParams(1, 0), 2, MassSequence(kind, 0, 3, custom))
+    tb = convergence_table(setup, [150, 500], 4)
+    assert tb.excluded == 0
+    assert abs(tb.rows[1].scaled[0] - tb.limit[0]) <= 0.01
+
+
 class TestLargestZeroLocation:
     def test_supercritical_inside(self, supercritical):
         assert sobolev_zeros(supercritical, 250).outside_count == 0
@@ -426,8 +436,8 @@ class TestLargestZeroLocation:
         V = critical_mass_threshold(-0.9, -0.9, 3)
         assert float(critical_small.mass.M) <= V
         assert float(critical_big.mass.M) > V
-        assert regime_excluded_count(critical_small) == 0
-        assert regime_excluded_count(critical_big) == 1
+        assert convergence_table(critical_small, [20], 4).excluded == 0
+        assert convergence_table(critical_big, [20], 4).excluded == 1
 
 
 class TestHurwitzTrend:
