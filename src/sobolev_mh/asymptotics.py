@@ -13,10 +13,9 @@ coefficients are limits of connection_coeffs, see the test suite), which
 settles the sign of the G term in the numerator.
 
 The limit function is L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x).
-It is evaluated, with its derivative for the zero finder, as
-sum_i b_i 2^i (x/2)^(2i) z_{alpha+2i}(x) from the entire functions
-z_nu(x) = (x/2)^(-nu) J_nu(x): no singular factor is formed, so one
-formula holds from x = 0 on.  ``limit_eval`` is its value on whole arrays,
+It is evaluated as sum_i b_i 2^i (x/2)^(2i) z_{alpha+2i}(x) from the entire
+functions z_nu(x) = (x/2)^(-nu) J_nu(x): no singular factor is formed, so
+one formula holds from x = 0 on.  ``limit_eval`` is its value on whole arrays,
 one array Bessel evaluation per nonzero term.
 """
 
@@ -131,31 +130,6 @@ def limit_coeffs(setup):
     return LimitFunction(alpha=a, b=_solve_limit_system(lead, j, a), regime=regime)
 
 
-def _limit(lf, x, deriv=False):
-    """L(x) = sum_i w_i h^(2i) z_{alpha+2i}(x), h = x/2, w_i = b_i 2^i, on the
-    array x >= 0, and with ``deriv`` the pair (L, L').
-
-    dz_nu/dx = -h z_{nu+1} (DLMF 10.6.6) gives
-    L' = sum_i w_i (i h^(2i-1) z_nu - h^(2i+1) z_{nu+1}), nu = alpha + 2i, and
-    z_{nu+1} = (z_nu + h^2 z_{nu+2}) / (nu + 1) (DLMF 10.6.1): one Bessel
-    pass per even order.
-    """
-    a = lf.alpha
-    terms = np.flatnonzero(lf.b).tolist()
-    orders = sorted({*terms, *(i + 1 for i in terms)}) if deriv else terms
-    z = {k: _bessel_z(a + 2.0 * k, x) for k in orders}
-    h = 0.5 * x
-    f = fp = np.zeros(len(x))
-    for i in terms:
-        w = lf.b[i] * 2.0 ** i
-        f = f + w * h ** (2 * i) * z[i]
-        if deriv:
-            z_odd = (z[i] + h * h * z[i + 1]) / (a + 2.0 * i + 1.0)
-            fp = fp + w * ((i * h ** (2 * i - 1) * z[i] if i else 0.0)
-                           - h ** (2 * i + 1) * z_odd)
-    return (f, fp) if deriv else f
-
-
 def limit_eval(lf, x):
     """Evaluate L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) for x >= 0
     (the value at 0 is its limit, b_0 / Gamma(alpha + 1)).
@@ -166,7 +140,11 @@ def limit_eval(lf, x):
     xa = np.asarray(x, dtype=np.float64)
     if np.any(xa < 0.0):
         raise ValueError("argument must be nonnegative")
-    out = _limit(lf, xa.ravel())
+    flat = xa.ravel()
+    h = 0.5 * flat
+    out = np.zeros(len(flat))
+    for i in np.flatnonzero(lf.b).tolist():
+        out = out + lf.b[i] * 2.0 ** i * h ** (2 * i) * _bessel_z(lf.alpha + 2.0 * i, flat)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 

@@ -20,13 +20,17 @@ and Bessel zeros all come from one pass of it over a grid.  It compares
 ``np.sign`` of neighbouring values (their product may underflow) and counts
 a grid point where f is exactly 0 only between values of opposite sign.
 ``refine_brackets`` converges all its brackets together with a safeguarded
-Newton method on any function that returns values and derivatives on an
-array, from the secant point of each bracket (its midpoint when that point
-is not strictly inside).  A root is done once its Newton step is below
-1e-15 relative to max(1, |x|), on an exact zero of the function, or when
-its bracket is at most 1e-13 wide.  A step falls back to bisection only
-when Newton would leave the bracket or fails to halve the step before the
-last one (``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
+secant method on any function that returns values on an array, from the
+secant point of each bracket (its midpoint when that point is not strictly
+inside).  No derivative is evaluated: a secant step costs one pass of the
+function and converges with order 1.618, where a Newton step costs two for
+order 2, that is sqrt(2) per pass (Ostrowski's efficiency index; Brent,
+*Algorithms for Minimization without Derivatives*, 1973).  A root is done
+once its secant step is below 1e-15 relative to max(1, |x|), on an exact
+zero of the function, or when its bracket is at most 1e-13 wide.  A step
+falls back to bisection only when the secant step would leave the bracket
+or fails to halve the step before the last one (the safeguard of
+``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
@@ -115,25 +119,27 @@ def clenshaw_batch(c, A, B, C, x):
 
 
 # ---------------------------------------------------------------------------
-# Safeguarded Newton/bisection refinement of sign-change brackets
+# Safeguarded secant/bisection refinement of sign-change brackets
 # ---------------------------------------------------------------------------
 
 _XTOL = 1e-13       # bracket width at which a root is done
-_STEP_RTOL = 1e-15  # Newton step, relative to max(1, |x|), at which a root is done
+_STEP_RTOL = 1e-15  # secant step, relative to max(1, |x|), at which a root is done
 _MAX_REFINE = 120
 
 
-def refine_brackets(fdf, lo, hi, flo, fhi):
+def refine_brackets(f, lo, hi, flo, fhi):
     """Converge each bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
     to a root, starting from its secant point.
 
-    ``fdf(x)`` returns the arrays (f(x), f'(x)) for an array ``x``; every
-    bracket is advanced in the same call, over the roots that are not yet
-    done.  Safeguarded Newton: a step leaving the bracket, or not halving the
-    step before the last one, is replaced by bisection.  A root is done when
-    the Newton step is at most 1e-15 max(1, |x|) (the root is then x - f/f'
-    clipped to the bracket), when f(x) == 0 exactly, or when the bracket is
-    at most 1e-13 wide (the root is then its midpoint).
+    ``f(x)`` returns the array of values at an array ``x``; every bracket is
+    advanced in the same call, over the roots that are not yet done.
+    Safeguarded secant: each step runs through the last two iterates (at
+    first the bracket end with the smaller |f|), and a step leaving the
+    bracket, or not halving the step before the last one, is replaced by
+    bisection.  A root is done when the secant step is at most
+    1e-15 max(1, |x|) (the root is then x minus that step, clipped to the
+    bracket), when f(x) == 0 exactly, or when the bracket is at most 1e-13
+    wide (the root is then its midpoint).
     """
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
@@ -143,57 +149,60 @@ def refine_brackets(fdf, lo, hi, flo, fhi):
     with np.errstate(all="ignore"):
         x = lo - flo * (hi - lo) / (fhi - flo)
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    # the previous iterate of the first step: the end with the smaller |f|
+    near = np.abs(flo) < np.abs(fhi)
+    xp, fp = np.where(near, lo, hi), np.where(near, flo, fhi)
     # lengths of the last two steps; the first steps are measured on the bracket
     last = before = hi - lo
     for _ in range(_MAX_REFINE):
         if len(idx) == 0:
             return out
-        f, fp = fdf(x)
-        same = (f > 0.0) == pos
+        fx = f(x)
+        same = (fx > 0.0) == pos
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / fp
-        newton = x - step
-        hit = f == 0.0
+            step = fx * (x - xp) / (fx - fp)
+        secant = x - step
+        hit = fx == 0.0
         small = np.abs(step) <= _STEP_RTOL * np.maximum(1.0, np.abs(x))
         done = hit | small | (hi - lo <= _XTOL)
         if done.any():
-            # an exact zero is the answer itself; a converged Newton step is
+            # an exact zero is the answer itself; a converged secant step is
             # taken once more; a collapsed bracket gives its midpoint
-            root = np.where(hit, x, np.where(small, np.clip(newton, lo, hi),
+            root = np.where(hit, x, np.where(small, np.clip(secant, lo, hi),
                                              0.5 * (lo + hi)))
             out[idx[done]] = root[done]
             keep = ~done
-            idx, x, lo, hi, pos = idx[keep], x[keep], lo[keep], hi[keep], pos[keep]
-            last, before = last[keep], before[keep]
-            step, newton = step[keep], newton[keep]
-        # bisect when Newton leaves the open bracket (or is not finite) or
-        # fails to halve the step before the last one
-        inside = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) <= before)
-        nxt = np.where(inside, newton, 0.5 * (lo + hi))
+            idx, x, fx, lo, hi = idx[keep], x[keep], fx[keep], lo[keep], hi[keep]
+            pos, last, before = pos[keep], last[keep], before[keep]
+            step, secant = step[keep], secant[keep]
+        # bisect when the secant step leaves the open bracket (or is not
+        # finite) or fails to halve the step before the last one
+        inside = (secant > lo) & (secant < hi) & (2.0 * np.abs(step) <= before)
+        nxt = np.where(inside, secant, 0.5 * (lo + hi))
         last, before = np.abs(nxt - x), last
-        x = nxt
+        xp, fp, x = x, fx, nxt
     out[idx] = 0.5 * (lo + hi)
     return out
 
 
-def grid_roots(fdf, grid, vals, count=None):
+def grid_roots(f, grid, vals, count=None):
     """The first ``count`` zeros (all when None), ascending, of f with the
     values ``vals`` on the ascending ``grid``: its refined sign changes and
     the grid points where f is 0 between values of opposite sign."""
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)[:count]
     exact = np.flatnonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0.0)) + 1
-    roots = refine_brackets(fdf, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
+    roots = refine_brackets(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
     return np.sort(np.concatenate([roots, grid[exact]]))[:count]
 
 
-def _scan_zeros(f, fdf, step, top, count):
+def _scan_zeros(f, step, top, count):
     """The first ``count`` positive zeros of f (which acts on arrays) from
     one ``grid_roots`` pass over the grid 1e-3 + k step below ``top``."""
     xs = np.arange(1e-3, top, step)
-    roots = grid_roots(fdf, xs, f(xs), count)
+    roots = grid_roots(f, xs, f(xs), count)
     if len(roots) < count:
         raise NumericError(f"found only {len(roots)} of {count} zeros below {top:g}")
     return roots

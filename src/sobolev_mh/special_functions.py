@@ -12,7 +12,7 @@ upward order recurrence (DLMF 10.6), and z_nu divides it by (x/2)^nu.
 Bessel zeros come from one pass of the sign-change scan shared with the
 polynomial and limit-function zeros (``kernels._scan_zeros``: a 0.18 grid
 up to a little past McMahon's estimate of the last zero wanted, then the
-safeguarded Newton method of ``kernels.grid_roots``).
+safeguarded secant method of ``kernels.grid_roots`` on values of J_nu).
 """
 
 import math
@@ -208,11 +208,5 @@ def bessel_j_zero(nu, i):
     i = int(i)
     if i < 1:
         raise ValueError(f"zero index must be >= 1, got {i}")
-
-    def fdf(x):
-        # J'_nu via the order-raising relation; avoids orders below -1
-        jx = bessel_j(nu, x)
-        return jx, (nu / x) * jx - bessel_j(nu + 1.0, x)
-
-    zeros = _scan_zeros(lambda x: bessel_j(nu, x), fdf, 0.18, _mcmahon_guess(nu, i) + 5.0, i)
+    zeros = _scan_zeros(lambda x: bessel_j(nu, x), 0.18, _mcmahon_guess(nu, i) + 5.0, i)
     return float(zeros[i - 1])

@@ -9,12 +9,15 @@ zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
 not positive is there a zero at or above 1, and the ladder
 1 + 1e-9 2^(k/8), k = 0..359, evaluated with overflow ignored, extends the
 grid to its first positive value; ``ZeroSet.outside_count`` reports that
-zero.  One pass of ``kernels.grid_roots`` over this grid finds every zero;
-a set it leaves short is a ``NumericError``.  The scaled zeros
-n sqrt(2(1 - y)) are formed only by ``convergence_table``, which leaves out
-the largest zero exactly when the limit function is negative at 0 (b_0 < 0):
-n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).  So a mass limit M = 0,
-the classical polynomial, excludes no zero in any regime.
+zero.  One pass of ``kernels.grid_roots`` over this grid finds every zero,
+each refined by a safeguarded secant iteration on values of Q alone (no
+derivative is formed); a set it leaves short is a ``NumericError``.  The
+scaled zeros n sqrt(2(1 - y)) are formed only by ``convergence_table``,
+which leaves out the largest zero exactly when the limit function is not
+positive at 0 (b_0 <= 0): n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).
+For b_0 < 0 that zero lies above 1; for b_0 = 0 (j = 0, subcritical) it
+tends to L's zero at 0, which the limit row does not list.  So a mass limit
+M = 0, the classical polynomial, excludes no zero in any regime.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
 one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
@@ -28,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .asymptotics import _limit, limit_coeffs, limit_eval
+from .asymptotics import limit_coeffs, limit_eval
 from .errors import NumericError
-from .jacobi import clenshaw_eval, derivative_series
+from .jacobi import clenshaw_eval
 from .sobolev import sobolev_polynomial
 from .special_functions import _mcmahon_guess
 
@@ -108,9 +111,7 @@ def sobolev_zeros(setup, n):
         raise ValueError("zero extraction needs degree >= 1")
     series = sobolev_polynomial(setup, n)
     grid, vals = _brackets(series, _bracket_grid(setup, n))
-    d = derivative_series(series)
-    roots = kernels.grid_roots(lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)),
-                               grid, vals)
+    roots = kernels.grid_roots(lambda x: clenshaw_eval(series, x), grid, vals)
     if len(roots) != n:
         raise NumericError(
             f"found {len(roots)} of {n} zeros for degree {n}; "
@@ -124,8 +125,7 @@ def limit_zeros(lf, count):
     if count < 1:
         raise ValueError("count must be >= 1")
     top = _mcmahon_guess(lf.alpha, count + len(lf.b)) + 5.0
-    return kernels._scan_zeros(lambda x: limit_eval(lf, x), lambda x: _limit(lf, x, True),
-                               0.02, top, count)
+    return kernels._scan_zeros(lambda x: limit_eval(lf, x), 0.02, top, count)
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,10 @@ def convergence_table(setup, ns, count, zero_sets=None):
         if n not in zero_sets:
             zero_sets[n] = sobolev_zeros(setup, n)
     # built after the zeros, so that their failures come first; L(0) < 0
-    # is the largest zero above 1
+    # is the largest zero above 1, and L(0) = 0 a largest zero that tends to
+    # L's zero at 0, which the limit row does not list
     lf = limit_coeffs(setup)
-    excluded = int(lf.b[0] < 0.0)
+    excluded = int(lf.b[0] <= 0.0)
     rows = []
     for n in ns:
         zs = zero_sets[n]

@@ -99,3 +99,30 @@ class SobolevOracle:
                     else:
                         b.append(acc / e)
             return b
+
+
+def series_roots(series, guesses, dps=60):
+    """The zeros of a binary64 Jacobi series near each of ``guesses``, as
+    mpf values: mpmath Clenshaw on the series' own coefficients and on its
+    own binary64 recurrence (``series.recurrence``), so that the polynomial
+    is exactly the one the program evaluates, and a secant iteration from
+    the guess at ``dps`` digits."""
+    with mp.workdps(dps):
+        A, B, C = ([mp.mpf(v) for v in r.tolist()] for r in series.recurrence)
+        c = [mp.mpf(v) for v in series.coeffs.tolist()]
+
+        def f(x):
+            u1 = u2 = mp.mpf(0)
+            for k in range(len(c) - 1, -1, -1):
+                u1, u2 = (A[k] * x + B[k]) * u1 + c[k] - C[k + 1] * u2, u1
+            return u1
+
+        roots = []
+        for g in guesses:
+            x0, x1 = mp.mpf(g), mp.mpf(g) + mp.mpf(2) ** -60
+            f0, f1 = f(x0), f(x1)
+            while abs(x1 - x0) > mp.mpf(10) ** (15 - dps) * max(1, abs(x1)) and f1 != f0:
+                x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+                f1 = f(x1)
+            roots.append(x1)
+        return roots

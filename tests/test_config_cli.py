@@ -439,7 +439,7 @@ class TestCliErrors:
         found = kernels.grid_roots
         # a grid that misses a zero, as the exterior zero above 1.5 does
         monkeypatch.setattr(kernels, "grid_roots",
-                            lambda fdf, grid, vals: found(fdf, grid, vals)[1:])
+                            lambda f, grid, vals: found(f, grid, vals)[1:])
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG)
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err

@@ -8,17 +8,18 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from mp_oracle import SobolevOracle, coeff_error
+from mp_oracle import SobolevOracle, coeff_error, series_roots
 from reference_values import TRUE_TABLES
 
 from sobolev_mh import kernels
 from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
 from sobolev_mh.errors import NumericError
-from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval, derivative_series
+from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.zeros import (
@@ -77,11 +78,23 @@ def test_zeros_match_comrade_eigenvalues(tabulated_setup, n):
     assert np.max(np.abs(zs.zeros - ref.real)) <= 1e-12
 
 
+def test_end_zeros_match_the_60_digit_roots_of_the_same_series(tabulated_setup):
+    # the reference is the binary64 series itself, summed in 60 digits, so
+    # the error is the refine's final step and Clenshaw's rounding alone; the
+    # bound sits just above the worst error measured, 7.6e-17 relative to
+    # max(1, |z|) with the secant refine and the former Newton one alike
+    n = 150
+    zs = sobolev_zeros(tabulated_setup, n).zeros
+    ends = np.concatenate([zs[:8], zs[-8:]])
+    ref = series_roots(sobolev_polynomial(tabulated_setup, n), ends)
+    err = [float(abs(mp.mpf(z) - r)) / max(1.0, abs(z)) for z, r in zip(ends, ref)]
+    assert max(err) <= 8e-17
+
+
 def _counted_refine(setup, n, monkeypatch):
     """Scan the degree-n zero grid; return the roots, the brackets and the
     Clenshaw passes the refine took."""
     series = sobolev_polynomial(setup, n)
-    d = derivative_series(series)
     grid, vals = _brackets(series, _bracket_grid(setup, n))
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
@@ -96,10 +109,9 @@ def _counted_refine(setup, n, monkeypatch):
         return clenshaw(*args)
 
     monkeypatch.setattr(kernels, "clenshaw_batch", counted)
-    # the (Q, Q') closure the zero extraction passes; clenshaw_eval looks the
+    # the value closure the zero extraction passes; clenshaw_eval looks the
     # Clenshaw kernel up at call time, so each pass is counted
-    roots = kernels.grid_roots(
-        lambda x: (clenshaw_eval(series, x), clenshaw_eval(d, x)), grid, vals)
+    roots = kernels.grid_roots(lambda x: clenshaw_eval(series, x), grid, vals)
     monkeypatch.undo()
     return roots, grid[idx], grid[idx + 1], passes
 
@@ -113,10 +125,48 @@ def test_refine_needs_few_clenshaw_passes(tabulated_setup, monkeypatch):
 
 
 def test_secant_start_refines_in_few_passes(tabulated_setup, monkeypatch):
-    # the secant point of a grid bracket is close enough for Newton to
-    # converge in 3-4 steps, two Clenshaw passes each
+    # the secant point of a grid bracket is close enough for the secant
+    # iteration to converge in 4-5 steps, one Clenshaw pass each
     _, _, _, passes = _counted_refine(tabulated_setup, 250, monkeypatch)
-    assert passes <= 10
+    assert passes <= 5
+
+
+def _refine_one(f, lo, hi):
+    """Refine the one bracket [lo, hi] of f; return the root and the passes."""
+    passes = 0
+
+    def counted(x):
+        nonlocal passes
+        passes += 1
+        return f(x)
+
+    lo, hi = np.array([lo]), np.array([hi])
+    return kernels.refine_brackets(counted, lo, hi, f(lo), f(hi))[0], passes
+
+
+@pytest.mark.parametrize("r", [0.3, 0.01, 0.5 + 3e-6, 0.999])
+def test_refine_bisects_between_saturated_ends(r):
+    # tanh is +-1 to the last bit farther than ~2e-5 from r: a secant
+    # through two equal values is not finite, so the step bisects, and one
+    # through -1 and 1 is a midpoint; the secant takes over on the slope
+    root, passes = _refine_one(lambda x: np.tanh(1e6 * (x - r)), 0.0, 1.0)
+    assert abs(root - r) <= 1e-13
+    assert passes < kernels._MAX_REFINE
+
+
+def test_refine_halving_rule_on_a_triple_root():
+    # the secant converges only linearly on a triple root; bisecting each
+    # step that fails to halve the one before the last keeps it to 59 passes
+    # (114 without that rule)
+    root, passes = _refine_one(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+    assert abs(root - 0.3) <= 1e-11
+    assert passes <= 64 < kernels._MAX_REFINE
+
+
+def test_refine_start_on_the_zero_is_one_pass():
+    # the secant point of a linear function is its zero, and f there is 0
+    root, passes = _refine_one(lambda x: x - 0.5, 0.0, 1.0)
+    assert root == 0.5 and passes == 1
 
 
 def test_far_exterior_zero_is_found():
@@ -145,23 +195,19 @@ def test_exact_zero_at_the_grid_top_or_on_a_rung_is_found(root, grid_len):
     series = JacobiSeries(JacobiParams(0.0, 0.0), [-root, 1.0])
     grid, vals = _brackets(series, np.linspace(-1.0, 1.0, 5))
     assert len(grid) == grid_len and vals[-2] == 0.0 and vals[-1] > 0.0
-    roots = kernels.grid_roots(lambda x: (clenshaw_eval(series, x), np.ones_like(x)),
-                               grid, vals)
+    roots = kernels.grid_roots(lambda x: clenshaw_eval(series, x), grid, vals)
     assert roots.tolist() == [root]
 
 
 def test_scan_keeps_values_whose_products_underflow():
     # neighbouring values of 1e-170 sin(x) multiply to 0 in double precision
-    roots = kernels._scan_zeros(lambda x: 1e-170 * np.sin(x),
-                                lambda x: (1e-170 * np.sin(x), 1e-170 * np.cos(x)),
-                                0.02, 10.0, 3)
+    roots = kernels._scan_zeros(lambda x: 1e-170 * np.sin(x), 0.02, 10.0, 3)
     assert np.max(np.abs(roots - np.pi * np.arange(1, 4))) <= 1e-13
 
 
 def test_scan_finds_a_zero_on_a_grid_point():
     z = np.arange(1e-3, 10.0, 0.5)[4]
-    roots = kernels._scan_zeros(lambda x: x - z, lambda x: (x - z, np.ones_like(x)),
-                                0.5, 10.0, 1)
+    roots = kernels._scan_zeros(lambda x: x - z, 0.5, 10.0, 1)
     assert roots.tolist() == [z]
 
 
@@ -176,7 +222,7 @@ def test_scan_of_an_underflowing_function_is_one_pass_and_an_error():
         return np.zeros_like(x)
 
     with pytest.raises(NumericError) as info:
-        kernels._scan_zeros(f, lambda x: (f(x), np.ones_like(x)), 0.02, 10.0, 3)
+        kernels._scan_zeros(f, 0.02, 10.0, 3)
     assert calls == 1
     assert str(info.value) == "found only 0 of 3 zeros below 10"
 
@@ -193,10 +239,10 @@ def test_robustness_sweep(alpha, n, monkeypatch):
     passes = 0
     found = kernels.grid_roots
 
-    def counted(fdf, grid, vals):
+    def counted(f, grid, vals):
         nonlocal passes
         passes += 1
-        return found(fdf, grid, vals)
+        return found(f, grid, vals)
 
     monkeypatch.setattr(kernels, "grid_roots", counted)
     for beta, j, gamma, M in itertools.product((-0.5, 5), (0, 1, 3, 6), (1, 12, 40),
@@ -406,6 +452,20 @@ def test_subcritical_zero_mass_excludes_no_zero(kind):
     tb = convergence_table(setup, [150, 500], 4)
     assert tb.excluded == 0
     assert abs(tb.rows[1].scaled[0] - tb.limit[0]) <= 0.01
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3, 20])
+def test_subcritical_order_zero_rows_line_up_with_the_limit_row(alpha):
+    # j = 0 in the subcritical regime gives b_0 = 0: L(0) = 0, and the largest
+    # zero tends to 1 faster than 1/n^2, towards L's zero at 0, which the
+    # limit row does not list; each scaled zero is nearest its own limit zero
+    setup = SobolevSetup(JacobiParams(alpha, 0), 0, MassSequence(MassKind.PLAIN, 1, 1))
+    tb = convergence_table(setup, [150, 1000], 3)
+    assert tb.excluded == 1
+    for row in tb.rows:
+        assert len(row.scaled) == len(tb.limit) == 2
+        dist = np.abs(row.scaled[:, None] - tb.limit[None, :])
+        assert np.all(np.argmin(dist, axis=1) == np.arange(2)), (row.n, row.scaled, tb.limit)
 
 
 class TestLargestZeroLocation:
