@@ -93,15 +93,6 @@ class LimitFunction:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
 
 
-def _order_shift_limit(i, k, a):
-    # limit of the derivative-ratio matrix entries: 2^i Gamma(a+k+1)/Gamma(a+k+i+1)
-    return math.exp(i * math.log(2.0) + log_gamma(a + k + 1.0) - log_gamma(a + k + i + 1.0))
-
-
-def _solve_limit_system(lead, j, a):
-    return solve_connection(lead, lambda i, k: _order_shift_limit(i, k, a), j + 2)
-
-
 def limit_coeffs(setup):
     """Bessel-combination coefficients of the endpoint limit function."""
     p = setup.params
@@ -124,10 +115,12 @@ def limit_coeffs(setup):
             raise OverflowError(f"the mass limit M = {M:g} is above the double range "
                                 f"at alpha = {a:g}, j = {j}")
 
-    def lead(i):
-        return (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
-
-    return LimitFunction(alpha=a, b=_solve_limit_system(lead, j, a), regime=regime)
+    i = np.arange(j + 2.0)
+    lead = (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
+    # the limit of the entries of connection_coeffs: 2^i Gamma(a+k+1)/Gamma(a+k+i+1)
+    i, k = i[:, None], i
+    entry = np.exp(i * math.log(2.0) + log_gamma(a + k + 1.0) - log_gamma(a + k + i + 1.0))
+    return LimitFunction(alpha=a, b=solve_connection(lead, entry), regime=regime)
 
 
 def limit_eval(lf, x):

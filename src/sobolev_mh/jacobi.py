@@ -110,22 +110,22 @@ def deriv_at_one(n, k, params):
     return _exp(np.where(k > n, -np.inf, _log_d(np.maximum(n, k), k, params.a, params.b)))
 
 
-def solve_connection(rhs, entry, size):
-    """Forward substitution of sum_{i<=k} C(k,i) (-1)^i i! entry(i, k) b_i = rhs(k)
-    for b_0..b_{size-1}; the lower-triangular system of a short connection
-    formula against (1-x)^i P_{n-i}^{(alpha+2i, beta)} and of its limit.
-    Array-valued ``rhs`` and ``entry`` solve one system per element."""
-    b = []
-    for k in range(size):
-        acc = rhs(k)
+def solve_connection(rhs, entry):
+    """Forward substitution of sum_{i<=k} C(k,i) (-1)^i i! entry[..., i, k] b_i
+    = rhs[..., k] for b[..., K], given arrays rhs[..., K] and entry[..., K, K]
+    of one leading shape: the triangular system of a short connection formula
+    against (1-x)^i P_{n-i}^{(alpha+2i, beta)} and of its limit."""
+    b = np.empty(rhs.shape)
+    for k in range(rhs.shape[-1]):
+        acc = rhs[..., k]
         sign = 1.0
         fact = 1.0
         for i in range(k):
-            acc = acc - b[i] * math.comb(k, i) * sign * fact * entry(i, k)
+            acc = acc - b[..., i] * math.comb(k, i) * sign * fact * entry[..., i, k]
             sign = -sign
             fact *= i + 1.0
-        b.append(acc / (sign * fact * entry(k, k)))
-    return np.array(b)
+        b[..., k] = acc / (sign * fact * entry[..., k, k])
+    return b
 
 
 def _log_norm2(n, a, b):
@@ -166,7 +166,8 @@ def derivative_series(series):
 def scaled_eval(series, u):
     """n^(-alpha) S(1 - u^2/(2 n^2)) for a Jacobi series S of degree n >= 1 (a
     scalar or array u, |u| <= 2n): the left side of the Mehler-Heine formula.
-    A value that is not a finite double is a ``NumericError``."""
+    A value that is not a finite double is a ``NumericError``, and so are
+    values that are all 0 (n^(-alpha) underflows)."""
     n = len(series.coeffs) - 1
     if n < 1:
         raise ValueError("degree must be positive")
@@ -178,4 +179,6 @@ def scaled_eval(series, u):
         out = math.exp(-series.params.a * math.log(n)) * clenshaw_eval(series, x)
     if not np.isfinite(out).all():
         raise NumericError(f"degree {n}: the scaled series overflows a double")
+    if not np.any(out):
+        raise NumericError(f"degree {n}: the scaled series underflows a double")
     return out

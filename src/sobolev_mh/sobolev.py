@@ -201,8 +201,7 @@ def connection_coeffs(setup, n):
     k = np.arange(j + 2)
     L = _log_d(n[..., None, None] - i, np.maximum(k - i, 0), p.a + 2.0 * i, p.b)
     entry = np.exp(L - L[..., :1, :])
-    b = solve_connection(lambda k: ratio[k], lambda i, k: entry[..., i, k], j + 2)
-    return np.moveaxis(b, 0, -1)
+    return solve_connection(np.stack(ratio, -1), entry)
 
 
 def connection_reconstruct(setup, n, x):

@@ -1,7 +1,7 @@
 """Gamma and Bessel primitives used by every layer above.
 
-Self-contained: log-gamma via a 9-term Lanczos approximation, of a scalar
-or of an array; Bessel J of real order nu > -1 over a whole array of
+Self-contained: log-gamma via a 9-term Lanczos approximation in one numpy
+pass; Bessel J of real order nu > -1 over a whole array of
 arguments at once, and the entire function z_nu(x) = (x/2)^(-nu) J_nu(x)
 (DLMF 10.2.2) that the limit functions are built from.  Below the
 crossover max(14, 1.4|nu|) both come from the ascending series of z_nu,
@@ -39,26 +39,23 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x):
-    """Natural log of the Gamma function for x > 0: of a scalar (a float,
-    evaluated with ``math``) or of an array (one numpy pass)."""
-    scalar = np.ndim(x) == 0
-    x = float(x) if scalar else np.asarray(x, dtype=np.float64)
+    """Natural log of the Gamma function for x > 0, elementwise in one numpy
+    pass; a scalar gives a float."""
+    x = np.asarray(x, dtype=np.float64)
     if not np.all(x > 0.0):
         raise ValueError(f"log_gamma requires a positive argument, got {np.min(x)}")
-    log = math.log if scalar else np.log
     low = x < 0.5
     if np.any(low):
         # reflection keeps the Lanczos sum in its accurate range
-        if scalar:
-            return log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-        out = log_gamma(np.where(low, 1.0 - x, x))
-        out[low] = log(math.pi / np.sin(math.pi * x[low])) - out[low]
-        return out
-    series = _LANCZOS[0]
-    for i in range(1, 9):
-        series += _LANCZOS[i] / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_2PI + (x - 0.5) * log(t) - t + log(series)
+        out = np.asarray(log_gamma(np.where(low, 1.0 - x, x)))
+        out[low] = np.log(math.pi / np.sin(math.pi * x[low])) - out[low]
+    else:
+        series = _LANCZOS[0]
+        for i in range(1, 9):
+            series += _LANCZOS[i] / (x + i - 1.0)
+        t = x + _LANCZOS_G - 0.5
+        out = _HALF_LOG_2PI + (x - 0.5) * np.log(t) - t + np.log(series)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

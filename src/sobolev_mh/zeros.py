@@ -5,18 +5,20 @@ endpoint and at most one sits above 1.  The bracketing grid is sized to
 them: a cosine sweep of [-1, 1] with four points per zero gap in theta, and
 a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
 0.2, over the first j + 16 Bessel zeros of order alpha, where the scaled
-zeros stray from the Jacobi ones.  Q(1) is on the grid; only when it is
-not positive is there a zero at or above 1, and the ladder
-1 + 1e-9 2^(k/8), k = 0..359, evaluated with overflow ignored, extends the
-grid to its first positive value; ``ZeroSet.outside_count`` reports that
-zero.  One pass of ``kernels.grid_roots`` over this grid finds every zero,
-each refined by a safeguarded secant iteration on values of Q alone (no
-derivative is formed); a set it leaves short is a ``NumericError``.  The
-scaled zeros n sqrt(2(1 - y)) are formed only by ``convergence_table``,
-which leaves out the largest zero exactly when the limit function is not
-positive at 0 (b_0 <= 0): n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).
-For b_0 < 0 that zero lies above 1; for b_0 = 0 (j = 0, subcritical) it
-tends to L's zero at 0, which the limit row does not list.  So a mass limit
+zeros stray from the Jacobi ones.  Q(1) is on the grid, with the value of
+its closed form (``q_deriv_at_one``): Clenshaw's cancels to noise when Q(1)
+is far below P_n(1).  Only when Q(1) is not positive is there a zero at or
+above 1, and the ladder 1 + 1e-9 2^(k/8), k = 0..359, evaluated with
+overflow ignored, extends the grid to its first positive value;
+``ZeroSet.outside_count`` reports that zero.  One pass of
+``kernels.grid_roots`` over this grid finds every zero, each refined by a
+safeguarded secant iteration on values of Q alone (no derivative is
+formed); a set it leaves short is a ``NumericError``.  The scaled zeros
+n sqrt(2(1 - y)) are formed only by ``convergence_table``, which leaves out
+the largest zero exactly when the limit function is not positive at 0
+(b_0 <= 0): n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).  For
+b_0 < 0 that zero lies above 1; for b_0 = 0 (j = 0, subcritical) it tends
+to L's zero at 0, which the limit row does not list.  So a mass limit
 M = 0, the classical polynomial, excludes no zero in any regime.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
@@ -34,7 +36,7 @@ from . import kernels
 from .asymptotics import limit_coeffs, limit_eval
 from .errors import NumericError
 from .jacobi import clenshaw_eval
-from .sobolev import sobolev_polynomial
+from .sobolev import q_deriv_at_one, sobolev_polynomial
 from .special_functions import _mcmahon_guess
 
 
@@ -57,7 +59,10 @@ def _bracket_grid(setup, n):
     coarse = np.cos(np.linspace(0.0, math.pi, 4 * (n + 1)))
     # only the first j + 2 or so scaled zeros stray from the Bessel zeros of
     # order alpha, so the u-grid covers the first j + 16 of those; McMahon's
-    # expansion is plenty for a grid bound (the far zeros to ~4 decimals)
+    # expansion is plenty for a grid bound (the far zeros to ~4 decimals).
+    # The cosine sweep alone finds the same zeros, but its wider end brackets
+    # cost the refine more passes (242 against 219 Clenshaw passes on 30
+    # seeded sets of degree 500-5000) and time, in each of 3 timed runs
     i_peak = max(1, min(math.ceil(n / 4), int(setup.j) + 16))
     u_max = min(2.0 * _mcmahon_guess(p.a, i_peak), 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
@@ -77,15 +82,17 @@ def _sorted_distinct(v):
 _LADDER = 1e-9 * 2.0 ** (np.arange(360) / 8.0)
 
 
-def _brackets(series, grid):
-    """The Jacobi series on the ascending ``grid``: (grid, values), the grid
-    extended by the ladder top + 1e-9 2^(k/8), k = 0..359, up to its first
-    positive value before any that is not finite, when the series is not
-    positive at the top (with a positive leading coefficient, exactly when a
+def _brackets(series, grid, q_at_one):
+    """The Jacobi series on the ascending ``grid``, whose top is x = 1:
+    (grid, values), the value at 1 being ``q_at_one`` and not Clenshaw's,
+    the grid extended by the ladder 1 + 1e-9 2^(k/8), k = 0..359, up to its
+    first positive value before any that is not finite, when the series is
+    not positive at 1 (with a positive leading coefficient, exactly when a
     zero lies at or above it)."""
     n = len(series.coeffs) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         vals = clenshaw_eval(series, grid)
+    vals[-1] = q_at_one
     if not np.isfinite(vals).all():
         raise NumericError(f"degree {n}: the series overflows a double on "
                            f"the bracket grid")
@@ -110,7 +117,11 @@ def sobolev_zeros(setup, n):
     if n < 1:
         raise ValueError("zero extraction needs degree >= 1")
     series = sobolev_polynomial(setup, n)
-    grid, vals = _brackets(series, _bracket_grid(setup, n))
+    try:
+        q_at_one = q_deriv_at_one(setup, n, 0)
+    except OverflowError:  # not a double: the grid check names it
+        q_at_one = math.inf
+    grid, vals = _brackets(series, _bracket_grid(setup, n), q_at_one)
     roots = kernels.grid_roots(lambda x: clenshaw_eval(series, x), grid, vals)
     if len(roots) != n:
         raise NumericError(

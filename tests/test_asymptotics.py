@@ -74,7 +74,7 @@ class TestMassThreshold:
         alphas = (Fraction(-9, 10), Fraction(-1, 2), 0, 1, Fraction(15, 2), 40)
         masses = (0, Fraction(1, 1000), 1, 5, 10**6)
         for alpha, beta, j, kind, M, shift in itertools.product(
-                alphas, (Fraction(-9, 10), 0, 5), (0, 1, 2, 5), MassKind, masses,
+                alphas, (Fraction(-9, 10), 0, 5), (0, 1, 2, 5, 8), MassKind, masses,
                 (-1, 0, 1)):
             gamma = 2 * (Fraction(alpha) + 2 * j + 1) + shift
             custom = {1: 0.0} if kind is MassKind.CUSTOM else None
@@ -124,6 +124,27 @@ class TestLimitCoeffs:
         d2 = np.max(np.abs(connection_coeffs(critical_small, 1600) - lf.b))
         assert d2 < d1
         assert d2 <= 5e-3
+
+    @pytest.mark.parametrize("max_j, bound", [(3, 3e-13), (8, 1e-10)])
+    def test_subcritical_against_exact_rationals(self, max_j, bound):
+        # at integer alpha the subcritical system is rational: entries
+        # 2^i / ((a+k+1)...(a+k+i)) and lead (k-j)/(a+j+k+1), so Fractions
+        # solve it exactly; the float solve loses up to 1.8e-13 at j <= 3
+        # and 6.2e-11 at j <= 8, relative to the largest coefficient
+        for alpha, j in itertools.product((0, 1, 3, 7), range(max_j + 1)):
+            def entry(i, k):
+                return Fraction(2 ** i, math.prod(range(alpha + k + 1, alpha + k + i + 1)))
+
+            b = []
+            for k in range(j + 2):
+                acc = Fraction(k - j, alpha + j + k + 1)
+                for i in range(k):
+                    acc -= math.comb(k, i) * (-1) ** i * math.factorial(i) * entry(i, k) * b[i]
+                b.append(acc / ((-1) ** k * math.factorial(k) * entry(k, k)))
+            exact = np.array([float(v) for v in b])
+            setup = SobolevSetup(JacobiParams(alpha, 0), j, MassSequence(MassKind.PLAIN, 1, 1))
+            err = np.max(np.abs(limit_coeffs(setup).b - exact)) / np.max(np.abs(exact))
+            assert err <= bound, (alpha, j, err)
 
     def test_frozen_values(self):
         for name, ref in TRUE_LIMIT_COEFFS.items():

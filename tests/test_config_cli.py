@@ -507,6 +507,16 @@ class TestCliErrors:
         assert capsys.readouterr().err == ("numeric failure: degree 3000: the series "
                                            "overflows a double on the bracket grid\n")
 
+    def test_grid_overflow_of_the_closed_form_at_one_is_one_line(self, tmp_path, capsys):
+        # at j = 1 the closed form of Q_n(1), which the grid takes at 1, is
+        # above the double range too; the grid check still names the overflow
+        cfg = _write_cfg(tmp_path, _plain_cfg(300, 1, 3000).replace("j = 0", "j = 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: degree 3000: the series "
+                                           "overflows a double on the bracket grid\n")
+
     @pytest.mark.parametrize("alpha, n", [(300, 3000), (10000, 150)])
     def test_curve_overflow_is_one_line(self, tmp_path, capsys, alpha, n):
         # the scaled series is not a double on the curve grid; mh-curve used
@@ -517,6 +527,17 @@ class TestCliErrors:
             assert main(["mh-curve", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (f"numeric failure: degree {n}: the scaled "
                                            f"series overflows a double\n")
+
+    @pytest.mark.parametrize("alpha", [150, 200])
+    def test_curve_underflow_is_one_line(self, tmp_path, capsys, alpha):
+        # n^-alpha is below the double range at n = 150, so every q_150
+        # cell was 0; mh-curve used to exit 0 with that column
+        cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 1, 150).replace("j = 0", "j = 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mh-curve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: degree 150: the scaled "
+                                           "series underflows a double\n")
 
     @pytest.mark.parametrize("alpha, rc", [(50, 0), (90, 0), (300, 3)])
     def test_limit_zero_scan_is_one_pass(self, tmp_path, capsys, monkeypatch, alpha, rc):

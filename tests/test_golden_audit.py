@@ -16,7 +16,8 @@ import pytest
 from reference_values import TRUE_TABLES
 
 from sobolev_mh import golden
-from sobolev_mh.asymptotics import _solve_limit_system, classify_regime, limit_coeffs
+from sobolev_mh.asymptotics import classify_regime, limit_coeffs
+from sobolev_mh.jacobi import solve_connection
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import (
     MassKind,
@@ -37,11 +38,13 @@ def _miscopied_limit_function(alpha, beta, j, M):
     G = math.exp(2.0 * log_gamma(a + j + 1)
                  + (a + b + 2.0 * j + 1.0) * math.log(2.0)) * (a + 2.0 * j + 1.0)
 
-    def lead(i):
-        return (M * (i - j) - G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
-
+    i = np.arange(j + 2.0)
+    lead = (M * (i - j) - G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
+    # 2^i Gamma(a+k+1)/Gamma(a+k+i+1), the limit matrix of the recursion
+    i, k = i[:, None], i
+    entry = np.exp(i * math.log(2.0) + log_gamma(a + k + 1.0) - log_gamma(a + k + i + 1.0))
     regime = classify_regime(2 * (a + 2 * j + 1), a, j)
-    return LimitFunction(alpha=a, b=_solve_limit_system(lead, j, a), regime=regime)
+    return LimitFunction(alpha=a, b=solve_connection(lead, entry), regime=regime)
 
 
 class TestTable1Cell:

@@ -21,7 +21,13 @@ from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
 from sobolev_mh.errors import NumericError
 from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval
 from sobolev_mh.presets import SETUPS
-from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
+from sobolev_mh.sobolev import (
+    MassKind,
+    MassSequence,
+    SobolevSetup,
+    q_deriv_at_one,
+    sobolev_polynomial,
+)
 from sobolev_mh.zeros import (
     _LADDER,
     _bracket_grid,
@@ -95,7 +101,7 @@ def _counted_refine(setup, n, monkeypatch):
     """Scan the degree-n zero grid; return the roots, the brackets and the
     Clenshaw passes the refine took."""
     series = sobolev_polynomial(setup, n)
-    grid, vals = _brackets(series, _bracket_grid(setup, n))
+    grid, vals = _brackets(series, _bracket_grid(setup, n), q_deriv_at_one(setup, n, 0))
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)
     assert len(idx) == n and not (vals == 0.0).any()
@@ -185,7 +191,7 @@ def test_exterior_ladder_without_sign_change_is_a_numeric_error():
     # -1 - P_1: negative at 1 and decreasing above it
     series = JacobiSeries(JacobiParams(0.0, 0.0), [-1.0, -1.0])
     with pytest.raises(NumericError, match="no sign change"):
-        _brackets(series, np.linspace(-1.0, 1.0, 5))
+        _brackets(series, np.linspace(-1.0, 1.0, 5), -2.0)
 
 
 @pytest.mark.parametrize("root, grid_len", [(1.0, 5 + 1), (1.0 + _LADDER[10], 5 + 12)])
@@ -193,7 +199,7 @@ def test_exact_zero_at_the_grid_top_or_on_a_rung_is_found(root, grid_len):
     # x - root is 0 at the top of the grid or on the tenth ladder rung; the
     # ladder runs to its first positive rung, so the exact zero is flanked
     series = JacobiSeries(JacobiParams(0.0, 0.0), [-root, 1.0])
-    grid, vals = _brackets(series, np.linspace(-1.0, 1.0, 5))
+    grid, vals = _brackets(series, np.linspace(-1.0, 1.0, 5), 1.0 - root)
     assert len(grid) == grid_len and vals[-2] == 0.0 and vals[-1] > 0.0
     roots = kernels.grid_roots(lambda x: clenshaw_eval(series, x), grid, vals)
     assert roots.tolist() == [root]
@@ -488,6 +494,15 @@ class TestLargestZeroLocation:
         zs = sobolev_zeros(tabulated_setup, n)
         q1 = clenshaw_eval(sobolev_polynomial(tabulated_setup, n), 1.0)
         assert (q1 < 0.0) == (zs.zeros[0] > 1.0) == (zs.outside_count == 1)
+
+    @pytest.mark.parametrize("n", [150, 500, 1000, 3000])
+    def test_order_zero_mass_keeps_every_zero_inside(self, n):
+        # a mass on the value (j = 0) gives Q_n(1) = P_n(1)/(1 + M_n K_{n-1}(1,1))
+        # > 0; at alpha = 20 that is ~1e-20 or less, and Clenshaw's value at
+        # 1 is about -1e13 at n = 150, so the side of 1 comes from the closed form
+        setup = SobolevSetup(JacobiParams(20, 0), 0, MassSequence(MassKind.PLAIN, 1, 1))
+        assert q_deriv_at_one(setup, n, 0) > 0.0
+        assert sobolev_zeros(setup, n).outside_count == 0
 
     def test_matches_mass_threshold_rule(self, critical_small, critical_big):
         # knife-edge regime: escape iff the mass limit exceeds the threshold
