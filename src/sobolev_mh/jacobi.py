@@ -175,8 +175,10 @@ def scaled_eval(series, u):
     if np.any(uu * uu > 4.0 * n * n):
         raise ValueError("scaled argument leaves [-1, 1]")
     x = 1.0 - uu * uu / (2.0 * n * n)
+    # n^(-alpha) as two factors: one alone is subnormal from alpha ~ 141 at n = 150
+    half = math.exp(-0.5 * series.params.a * math.log(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = math.exp(-series.params.a * math.log(n)) * clenshaw_eval(series, x)
+        out = half * clenshaw_eval(series, x) * half
     if not np.isfinite(out).all():
         raise NumericError(f"degree {n}: the scaled series overflows a double")
     if not np.any(out):

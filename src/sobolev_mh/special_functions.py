@@ -1,18 +1,20 @@
 """Gamma and Bessel primitives used by every layer above.
 
 Self-contained: log-gamma via a 9-term Lanczos approximation in one numpy
-pass; Bessel J of real order nu > -1 over a whole array of
-arguments at once, and the entire function z_nu(x) = (x/2)^(-nu) J_nu(x)
-(DLMF 10.2.2) that the limit functions are built from.  Below the
-crossover max(14, 1.4|nu|) both come from the ascending series of z_nu,
-started at 1/Gamma(nu+1) and summed in extended precision; J_nu multiplies
-it by (x/2)^nu.  Above the crossover J_nu comes from the large-argument
-expansion (DLMF 10.17) at a base order in [-1/2, 1/2) followed by the
-upward order recurrence (DLMF 10.6), and z_nu divides it by (x/2)^nu.
-Bessel zeros come from one pass of the sign-change scan shared with the
-polynomial and limit-function zeros (``kernels._scan_zeros``: a 0.18 grid
-up to a little past McMahon's estimate of the last zero wanted, then the
-safeguarded secant method of ``kernels.grid_roots`` on values of J_nu).
+pass; Bessel J of real order nu > -1 over a whole array of arguments at
+once, and the entire function z_nu(x) = (x/2)^(-nu) J_nu(x) (DLMF 10.2.2)
+that the limit functions are built from, all in plain double.  One region
+test splits the arguments.  Where x^2 < 4 max(1, nu + 1) the ascending
+series of Gamma(nu+1) z_nu does not cancel, and 24 terms of it give z_nu
+(times 1/Gamma(nu+1)) and J_nu (times (x/2)^nu / Gamma(nu+1), formed as one
+exp).  Elsewhere J_nu comes from Miller's backward recurrence over the
+orders nu - floor(nu) + m (Gautschi, SIAM Rev. 9, 1967), normalized by
+Neumann's expansion of (x/2)^nu0 (Watson, *Treatise*, 5.21), and z_nu
+divides it by (x/2)^nu.  Bessel zeros come from one pass of the
+sign-change scan shared with the polynomial and limit-function zeros
+(``kernels._scan_zeros``: a 0.18 grid up to a little past McMahon's
+estimate of the last zero wanted, then the safeguarded secant method of
+``kernels.grid_roots`` on values of J_nu).
 """
 
 import math
@@ -62,89 +64,62 @@ def log_gamma(x):
 # Bessel J of the first kind, real order nu > -1, x >= 0
 # ---------------------------------------------------------------------------
 
-_LD = np.longdouble
+def _series(nu, x):
+    # Gamma(nu+1) z_nu(x) = sum_k (-x^2/4)^k / (k! (nu+1)_k) over the array
+    # x, where x^2 < 4 max(1, nu + 1): each term is then at most 1/k! of the
+    # first in size, so the sum does not cancel and 24 terms are exact
+    q2 = -0.25 * x * x
+    term = total = np.ones(len(x))
+    for k in range(1, 24):
+        term = term * q2 / (k * (k + nu))
+        total = total + term
+    return total
 
 
-def _series(nu, x, p):
-    # (x/2)^p z_nu(x) over the array x by the ascending series of the entire
-    # function z_nu = sum_k (-x^2/4)^k / (k! Gamma(nu+k+1)), accumulated in
-    # extended precision (its range holds the products of z_nu and (x/2)^p
-    # that a double does not, its precision keeps the alternating-term
-    # cancellation floor below 1e-12 up to the crossover).  A point stops at
-    # its first term at most 1e-22 of its sum; the terms are formed 16 at a
-    # time, one row per k
-    q = x.astype(_LD) * _LD(0.5)
-    nq2 = -(q * q)
-    term = q ** p * np.exp(-_LD(log_gamma(nu + 1.0)))
-    total = term
-    out = np.empty(len(x))
-    idx = np.arange(len(x))  # points still summing; the rest are in out
-    for k0 in range(1, 400, 16):
-        k = np.arange(k0, min(k0 + 16, 400))[:, None]
-        terms = nq2 / (k.astype(_LD) * (k + nu).astype(_LD))
-        terms[0] *= term
-        np.cumprod(terms, axis=0, out=terms)
-        totals = total + np.cumsum(terms, axis=0)
-        done = np.abs(terms) <= 1e-22 * np.abs(totals)
-        fin = done.any(axis=0)
-        out[idx[fin]] = totals[done.argmax(axis=0)[fin], np.flatnonzero(fin)]
-        live = ~fin
-        idx, nq2, term, total = idx[live], nq2[live], terms[-1, live], totals[-1, live]
-        if len(idx) == 0:
-            return out
-    out[idx] = total
-    return out
+def _miller(nu, x):
+    # J_nu by Miller's backward recurrence f_m = (2 (nu0+m+1)/x) f_{m+1} - f_{m+2}
+    # over the orders nu0 + m (nu0 = nu - floor(nu), or nu for nu < 0), from
+    # f = 1 at each point's even start K(x) down to m = 0, normalized by Neumann's
+    # (x/2)^nu0 / Gamma(nu0+1) = sum_k w_k J_{nu0+2k} (at nu0 the w_k grow like
+    # k^nu0; at nu they would grow like binomials).  Every 8 orders a point past
+    # 1e200 is scaled by 1e-200.  Each point has its own start and scaling, so an
+    # array element has the same bits as the scalar
+    keep = math.floor(max(nu, 0.0))
+    nu0 = nu - keep
+    top = np.maximum(x, nu)
+    start = np.ceil(top - nu0 + 12.0 * np.cbrt(top) + 25.0)
+    start += start % 2.0
+    order = np.argsort(start)
+    cuts = np.flatnonzero(np.diff(start[order])) + 1
+    seeds = {int(start[idx[0]]): idx for idx in np.split(order, cuts)}
+    m_max = max(seeds)
+    # w_0 = 1, w_k = (nu0 + 2k)/k prod_{0<l<k} (nu0 + l)/l
+    k = np.arange(1.0, m_max // 2 + 1)
+    w = np.concatenate(([1.0], (nu0 + 2.0 * k) / k
+                        * np.cumprod(np.concatenate(([1.0], (nu0 + k[:-1]) / k[:-1])))))
+    two_x = 2.0 / x
+    f, f_up, t, total, kept = np.zeros((5, len(x)))
+    for m in range(m_max, -1, -1):
+        np.multiply(two_x, nu0 + m + 1.0, out=t)
+        t *= f
+        t -= f_up
+        f, f_up, t = t, f, f_up
+        if m in seeds:
+            f[seeds[m]] = 1.0
+        if m % 2 == 0:
+            total += w[m // 2] * f
+        if m == keep:
+            kept[:] = f
+        if m % 8 == 0:
+            big = np.abs(f) > 1e200
+            if big.any():
+                for v in (f, f_up, total, kept):
+                    v[big] *= 1e-200
+    return kept / total * np.exp(nu0 * np.log(0.5 * x) - log_gamma(nu0 + 1.0))
 
 
-def _asymptotic_j(nu, x):
-    # large-argument expansion (DLMF 10.17.3); its P/Q terms decrease fast
-    # for |nu| <= 0.5 and x >= 14.  A point sums its terms up to the first
-    # one that fails to decrease (left out) or is below 1e-18 (kept); all
-    # 39 terms of every point are formed at once, one row per k
-    k = np.arange(1, 40)[:, None]
-    t = np.cumprod((4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x), axis=0)
-    a = np.abs(t)
-    keep = np.logical_and.accumulate(
-        np.vstack([np.ones((1, len(x)), dtype=bool),
-                   (a[1:] < a[:-1]) & (a[:-1] >= 1e-18)]), axis=0)
-    t = np.where(keep, np.where(k % 4 < 2, t, -t), 0.0)
-    # cumulative sums add in k order whatever the number of points
-    p = 1.0 + np.cumsum(t[1::2], axis=0)[-1]
-    q = np.cumsum(t[0::2], axis=0)[-1]
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(omega) - q * np.sin(omega))
-
-
-def _upward_j(nu, x):
-    # reduce to a base order in [-0.5, 0.5) where the asymptotic expansion
-    # converges fastest, then recur upward (DLMF 10.6.1; stable for x above
-    # the crossover)
-    m = math.floor(nu + 0.5)
-    nu0 = nu - m
-    j0 = _asymptotic_j(nu0, x)
-    if m == 0:
-        return j0
-    j1 = _asymptotic_j(nu0 + 1.0, x)
-    if m == -1:
-        return (2.0 * nu0 / x) * j0 - j1
-    s = nu0 + 1.0
-    for _ in range(m - 1):
-        j0, j1 = j1, (2.0 * s / x) * j1 - j0
-        s += 1.0
-    return j1
-
-
-def _in_chunks(fn, x):
-    # fn over the array x, 256 points at a time: the per-term 2-D arrays of
-    # both branches stay small
-    out = np.empty(len(x))
-    for start in range(0, len(x), 256):
-        out[start:start + 256] = fn(x[start:start + 256])
-    return out
-
-
-def _crossover(nu):
-    return max(14.0, 1.4 * abs(nu))
+def _near(nu, x):  # the region of the ascending series
+    return x * x < 4.0 * max(1.0, nu + 1.0)
 
 
 def bessel_j(nu, x):
@@ -163,10 +138,12 @@ def bessel_j(nu, x):
     out = np.empty(len(flat))
     zero = flat == 0.0
     out[zero] = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
-    near = (flat < _crossover(nu)) & ~zero
+    near = _near(nu, flat) & ~zero
     far = ~(near | zero)
-    out[near] = _in_chunks(lambda v: _series(nu, v, nu), flat[near])
-    out[far] = _in_chunks(lambda v: _upward_j(nu, v), flat[far])
+    v = flat[near]
+    out[near] = _series(nu, v) * np.exp(nu * np.log(0.5 * v) - log_gamma(nu + 1.0))
+    if far.any():
+        out[far] = _miller(nu, flat[far])
     if xa.ndim == 0:
         return float(out[0])
     return out.reshape(xa.shape)
@@ -174,14 +151,18 @@ def bessel_j(nu, x):
 
 def _bessel_z(nu, x):
     # the entire function z_nu(x) = (x/2)^(-nu) J_nu(x) on the 1-d array
-    # x >= 0, z_nu(0) = 1/Gamma(nu+1): its series below the crossover and
-    # J_nu / (x/2)^nu above it, where x/2 >= 7 (the power underflows at worst)
-    near = x < _crossover(nu)
-    out = np.empty(len(x))
-    out[near] = _in_chunks(lambda v: _series(nu, v, 0.0), x[near])
-    if not near.all():
-        far = x[~near]
-        out[~near] = bessel_j(nu, far) * (0.5 * far) ** -nu
+    # x >= 0, z_nu(0) = 1/Gamma(nu+1): its series in the series region and
+    # J_nu / (x/2)^nu outside it, where x/2 >= 1.  |J_nu| <= 1 there, so where
+    # the power underflows to 0 so does z_nu, and J_nu (a sweep over nu orders)
+    # is not formed
+    near = _near(nu, x)
+    out = np.zeros(len(x))
+    out[near] = _series(nu, x[near]) * math.exp(-log_gamma(nu + 1.0))
+    far = np.flatnonzero(~near)
+    power = (0.5 * x[far]) ** -nu
+    live = power > 0.0
+    if live.any():
+        out[far[live]] = bessel_j(nu, x[far[live]]) * power[live]
     return out
 
 
@@ -189,12 +170,15 @@ def _mcmahon_guess(nu, i):
     beta = (i + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     try:
-        return (beta
-                - (mu - 1.0) / (8.0 * beta)
-                - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
+        guess = (beta
+                 - (mu - 1.0) / (8.0 * beta)
+                 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
     except OverflowError:
+        guess = math.inf
+    if not math.isfinite(guess):
         raise OverflowError(f"McMahon's estimate of zero {i} of the Bessel function "
-                            f"of order {nu:g} is beyond the double range") from None
+                            f"of order {nu:g} is beyond the double range")
+    return guess
 
 
 def bessel_j_zero(nu, i):

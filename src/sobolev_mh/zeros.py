@@ -24,7 +24,8 @@ M = 0, the classical polynomial, excludes no zero in any regime.
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
 one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
 estimate of the (count + j + 2)-th Bessel zero of order alpha plus 5
-(``kernels._scan_zeros``, shared with the Bessel zeros).
+(``kernels._scan_zeros``, shared with the Bessel zeros), which refuses a
+grid past alpha ~ 1650 and subnormal values between zeros (alpha ~ 155).
 """
 
 import math

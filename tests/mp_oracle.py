@@ -45,6 +45,27 @@ def limit_value(lf, x, dps=40):
                              for i, b in enumerate(lf.b)))
 
 
+def limit_zeros(lf, count, dps=40):
+    """The first ``count`` zeros of the limit function of ``lf`` above x = 1:
+    the sign changes of sum_i b_i 2^i J_{alpha+2i} on the integers from 1,
+    each refined by ``findroot`` on its bracket, rounded to doubles."""
+    with mp.workdps(dps):
+        a = mp.mpf(lf.alpha)
+        b = [mp.mpf(v) for v in lf.b]
+
+        def f(x):
+            return mp.fsum(bi * 2 ** i * mp.besselj(a + 2 * i, x) for i, bi in enumerate(b))
+
+        roots = []
+        x, fx = mp.mpf(1), f(1)
+        while len(roots) < count:
+            fy = f(x + 1)
+            if fx * fy < 0:
+                roots.append(float(mp.findroot(f, (x, x + 1), solver="anderson")))
+            x, fx = x + 1, fy
+        return np.array(roots)
+
+
 class SobolevOracle:
     def __init__(self, setup, n_max, dps=50):
         self.ctx = mp.workdps(dps)

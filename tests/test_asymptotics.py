@@ -212,6 +212,15 @@ class TestLimitEval:
             ref = limit_value(lf, x)
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("name", ["critical-small-mass", "critical-big-mass"])
+    def test_critical_curve_against_mpmath(self, name):
+        # the mh-curve grid of the figures, where the limit is near 1; the
+        # ascending series summed up to x = 14 was 9.3e-13 off
+        lf = limit_coeffs(SETUPS[name])
+        xs = np.linspace(0.0, 18.0, 361)
+        ref = np.array([limit_value(lf, x) for x in xs])
+        assert np.max(np.abs(limit_eval(lf, xs) - ref)) <= 1e-14
+
     def test_negative_argument_rejected(self, supercritical):
         with pytest.raises(ValueError):
             limit_eval(limit_coeffs(supercritical), -0.5)

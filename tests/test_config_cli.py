@@ -398,8 +398,6 @@ class TestCliErrors:
         ("limits", "mass = plain", "mass = custom\ncustom_values = 10:-5"),
         ("zeros", "M = 0", "M = 1e400"),
         ("limits", "M = 0", "M = 1e400"),
-        # a scan grid too large for numpy: a library ValueError
-        ("limits", "alpha = 0", "alpha = 1e20"),
     ])
     def test_out_of_domain_config_is_one_line(self, tmp_path, capsys, job, old, new):
         cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace(old, new))
@@ -528,10 +526,10 @@ class TestCliErrors:
         assert capsys.readouterr().err == (f"numeric failure: degree {n}: the scaled "
                                            f"series overflows a double\n")
 
-    @pytest.mark.parametrize("alpha", [150, 200])
+    @pytest.mark.parametrize("alpha", [200])
     def test_curve_underflow_is_one_line(self, tmp_path, capsys, alpha):
-        # n^-alpha is below the double range at n = 150, so every q_150
-        # cell was 0; mh-curve used to exit 0 with that column
+        # the scaled series is below the double range at n = 150, so every
+        # q_150 cell was 0; mh-curve used to exit 0 with that column
         cfg = _write_cfg(tmp_path, _plain_cfg(alpha, 1, 150).replace("j = 0", "j = 1"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -559,6 +557,31 @@ class TestCliErrors:
         assert passes == 1
         assert capsys.readouterr().err == ("" if rc == 0 else "numeric failure: found only "
                                            "0 of 4 zeros below 382.169\n")
+
+    @pytest.mark.parametrize("alpha", ["1e6", "1e10", "1e20", "1e100"])
+    def test_huge_alpha_limit_scan_is_one_line(self, tmp_path, capsys, alpha):
+        # the limit-zero scan up to McMahon's estimate would need 5.9e7 to
+        # 5.9e21 grid points, and at 1e100 the estimate is not a double; it
+        # used to exit 1 with an allocation traceback at 1e10 and 2 with
+        # numpy's "Maximum allowed size exceeded" at 1e20 and 1e100
+        cfg = _write_cfg(tmp_path, LEGENDRE_CFG.replace("alpha = 0", f"alpha = {alpha}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["limits", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        if alpha == "1e100":
+            assert err == ("numeric failure: McMahon's estimate of zero 9 of the Bessel "
+                           "function of order 1e+100 is beyond the double range\n")
+        else:
+            assert err.startswith("numeric failure: the zero scan below ")
+            assert err.endswith(" needs more than 100000 grid points\n")
+
+    def test_limit_zeros_among_subnormal_values_are_one_line(self, tmp_path, capsys):
+        # alpha = 160, j = 3: the zeros were printed 4.8e-4 off with exit 0
+        cfg = _write_cfg(tmp_path, _plain_cfg(160, 1).replace("j = 0", "j = 3"))
+        assert main(["limits", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: the function is subnormal "
+                                           "between its zeros below 229.09\n")
 
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit):

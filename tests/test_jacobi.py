@@ -17,7 +17,7 @@ from sobolev_mh.jacobi import (
     scaled_eval,
 )
 from sobolev_mh.presets import SETUPS
-from sobolev_mh.sobolev import sobolev_polynomial
+from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
 from sobolev_mh.special_functions import bessel_j, log_gamma
 
 P01 = JacobiParams(0.0, 0.0)
@@ -322,6 +322,18 @@ class TestScaledEval:
     def test_domain(self):
         with pytest.raises(ValueError):
             scaled_eval(_unit(10, P01), 21.0)
+
+    @pytest.mark.parametrize("alpha", [145, 148, 150])
+    def test_subnormal_power_keeps_full_precision(self, alpha):
+        # 150^-alpha alone is subnormal (1e-326 at alpha = 150) while the
+        # scaled values are near 1e-236: formed as one factor it lost 7.9e-9
+        # at alpha = 145, 2.5e-2 at 148 and every digit at 150
+        setup = SobolevSetup(JacobiParams(alpha, 0), 1, MassSequence(MassKind.PLAIN, 1, 1))
+        series = sobolev_polynomial(setup, 150)
+        us = np.linspace(0.0, 18.0, 361)
+        s = clenshaw_eval(series, 1.0 - us * us / (2.0 * 150 * 150))
+        ref = np.sign(s) * np.exp(np.log(np.abs(s)) - alpha * math.log(150))
+        assert np.max(np.abs(scaled_eval(series, us) - ref) / np.abs(ref)) <= 2e-13
 
 
 def test_derivative_series_matches_finite_difference():

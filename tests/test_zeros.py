@@ -14,6 +14,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from mp_oracle import SobolevOracle, coeff_error, series_roots
+from mp_oracle import limit_zeros as mp_limit_zeros
 from reference_values import TRUE_TABLES
 
 from sobolev_mh import kernels
@@ -447,6 +448,39 @@ class TestLimitZeros:
                          MassSequence(MassKind.PLAIN, 0.0, 25.0)),
             [25], 4)
         np.testing.assert_allclose(tb.limit, jn_zeros(3, 4), atol=1e-9)
+
+
+def _high_alpha_limit(alpha, j):
+    # subcritical, beta = 0, gamma = 1, plain M = 1
+    return limit_coeffs(SobolevSetup(JacobiParams(Fraction(alpha), Fraction(0)), j,
+                                     MassSequence(MassKind.PLAIN, 1, Fraction(1))))
+
+
+@pytest.mark.parametrize("alpha", [50, 100, pytest.param(30, marks=pytest.mark.slow),
+                                   pytest.param(70, marks=pytest.mark.slow),
+                                   pytest.param(130, marks=pytest.mark.slow),
+                                   pytest.param(150, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("j", [0, 3])
+def test_high_alpha_limit_zeros_against_mpmath(alpha, j):
+    # the zeros sit above alpha, where the Bessel series cancelled (9.7e-9
+    # off at alpha = 30, duplicated zeros from alpha = 45)
+    lf = _high_alpha_limit(alpha, j)
+    ref = mp_limit_zeros(lf, 4)
+    assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
+
+
+def test_limit_zeros_among_subnormal_values_are_refused():
+    # at alpha = 160 the limit function is below 1e-308 between its zeros,
+    # where a double keeps too few digits to place them (4.8e-4 off)
+    with pytest.raises(NumericError, match="subnormal between its zeros"):
+        limit_zeros(_high_alpha_limit(160, 3), 4)
+
+
+def test_scan_grid_is_capped():
+    evaluated = []
+    with pytest.raises(NumericError, match="needs more than 100000 grid points"):
+        kernels._scan_zeros(evaluated.append, 0.02, 2000.1, 1)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("kind", [MassKind.PLAIN, MassKind.POLY_RATIO, MassKind.CUSTOM])
