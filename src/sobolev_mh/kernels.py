@@ -20,17 +20,24 @@ and Bessel zeros all come from one pass of it over a grid.  It compares
 ``np.sign`` of neighbouring values (their product may underflow) and counts
 a grid point where f is exactly 0 only between values of opposite sign.
 ``refine_brackets`` converges all its brackets together with a safeguarded
-secant method on any function that returns values on an array, from the
-secant point of each bracket (its midpoint when that point is not strictly
-inside).  No derivative is evaluated: a secant step costs one pass of the
-function and converges with order 1.618, where a Newton step costs two for
-order 2, that is sqrt(2) per pass (Ostrowski's efficiency index; Brent,
-*Algorithms for Minimization without Derivatives*, 1973).  A root is done
-once its secant step is below 1e-15 relative to max(1, |x|), on an exact
-zero of the function, or when its bracket is at most 1e-13 wide.  A step
-falls back to bisection only when the secant step would leave the bracket
-or fails to halve the step before the last one (the safeguard of
-``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
+secant method on any function that returns values on an array.  No
+derivative is evaluated: a secant step costs one pass of the function and
+converges with order 1.618, where a Newton step costs two for order 2, that
+is sqrt(2) per pass (Ostrowski's efficiency index; Brent, *Algorithms for
+Minimization without Derivatives*, 1973).  Where the four grid points
+around a bracket are equally spaced in theta = arccos x, the iteration
+starts from the zero of the damped sinusoid through their values
+(``sinusoid_starts``): away from the ends a Jacobi-type polynomial is, to
+O(1/n), a sinusoid in theta over its Darboux envelope (Szego, Thm 8.21.8),
+whose local growth Prony's fit follows; the sinusoid's slope drives the
+first step.  Elsewhere
+a bracket starts from its secant point (its midpoint when that point is
+not strictly inside).  A root is done once its secant step is below 1e-15
+relative to max(1, |x|), never on a model step alone, on an exact zero of
+the function, or when its bracket is at most 1e-13 wide.  A step falls
+back to bisection only when the secant step would leave the bracket or
+fails to halve the step before the last one (the safeguard of ``rtsafe``,
+Numerical Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
@@ -127,19 +134,22 @@ _STEP_RTOL = 1e-15  # secant step, relative to max(1, |x|), at which a root is d
 _MAX_REFINE = 120
 
 
-def refine_brackets(f, lo, hi, flo, fhi):
+def refine_brackets(f, lo, hi, flo, fhi, start=None, slope=None):
     """Converge each bracket [lo, hi] (sign change, f(lo) = flo, f(hi) = fhi)
-    to a root, starting from its secant point.
+    to a root, starting from its secant point, or from ``start`` where that
+    is given and finite, with the model's f' there, ``slope``, for its first
+    step.
 
     ``f(x)`` returns the array of values at an array ``x``; every bracket is
     advanced in the same call, over the roots that are not yet done.
     Safeguarded secant: each step runs through the last two iterates (at
-    first the bracket end with the smaller |f|), and a step leaving the
-    bracket, or not halving the step before the last one, is replaced by
-    bisection.  A root is done when the secant step is at most
-    1e-15 max(1, |x|) (the root is then x minus that step, clipped to the
-    bracket), when f(x) == 0 exactly, or when the bracket is at most 1e-13
-    wide (the root is then its midpoint).
+    first the bracket end with the smaller |f|, or the model slope), and a
+    step leaving the bracket, or not halving the step before the last one,
+    is replaced by bisection.  A root is done when the secant step is at
+    most 1e-15 max(1, |x|) (the root is then x minus that step, clipped to
+    the bracket), when f(x) == 0 exactly, or when the bracket is at most
+    1e-13 wide (the root is then its secant point when that lies inside,
+    else its midpoint).  A model step never ends a root by itself.
     """
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
@@ -152,6 +162,9 @@ def refine_brackets(f, lo, hi, flo, fhi):
     # the previous iterate of the first step: the end with the smaller |f|
     near = np.abs(flo) < np.abs(fhi)
     xp, fp = np.where(near, lo, hi), np.where(near, flo, fhi)
+    model = np.zeros(len(lo), dtype=bool) if start is None else np.isfinite(start)
+    if model.any():
+        x = np.where(model, start, x)
     # lengths of the last two steps; the first steps are measured on the bracket
     last = before = hi - lo
     for _ in range(_MAX_REFINE):
@@ -163,38 +176,91 @@ def refine_brackets(f, lo, hi, flo, fhi):
         hi = np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fx * (x - xp) / (fx - fp)
+            if model.any():
+                # a model step spans at least half the tolerance, so that
+                # the secant after it runs over a baseline above rounding
+                floor = 0.5 * _STEP_RTOL * np.maximum(1.0, np.abs(x))
+                mstep = fx / slope
+                mstep = np.where(np.abs(mstep) < floor, np.copysign(floor, mstep), mstep)
+                step = np.where(model, mstep, step)
         secant = x - step
         hit = fx == 0.0
-        small = np.abs(step) <= _STEP_RTOL * np.maximum(1.0, np.abs(x))
+        small = ~model & (np.abs(step) <= _STEP_RTOL * np.maximum(1.0, np.abs(x)))
+        inner = ~model & (secant > lo) & (secant < hi)
         done = hit | small | (hi - lo <= _XTOL)
         if done.any():
             # an exact zero is the answer itself; a converged secant step is
-            # taken once more; a collapsed bracket gives its midpoint
+            # taken once more; a collapsed bracket gives its secant point, or
+            # its midpoint when that point is outside or from the model
             root = np.where(hit, x, np.where(small, np.clip(secant, lo, hi),
-                                             0.5 * (lo + hi)))
+                                             np.where(inner, secant, 0.5 * (lo + hi))))
             out[idx[done]] = root[done]
             keep = ~done
             idx, x, fx, lo, hi = idx[keep], x[keep], fx[keep], lo[keep], hi[keep]
             pos, last, before = pos[keep], last[keep], before[keep]
-            step, secant = step[keep], secant[keep]
+            step, secant, model = step[keep], secant[keep], model[keep]
         # bisect when the secant step leaves the open bracket (or is not
         # finite) or fails to halve the step before the last one
         inside = (secant > lo) & (secant < hi) & (2.0 * np.abs(step) <= before)
         nxt = np.where(inside, secant, 0.5 * (lo + hi))
         last, before = np.abs(nxt - x), last
         xp, fp, x = x, fx, nxt
+        model = np.zeros(len(idx), dtype=bool)
     out[idx] = 0.5 * (lo + hi)
     return out
+
+
+def sinusoid_starts(grid, vals, idx):
+    """Start and f' for the bracket [grid[i], grid[i+1]] of each i in ``idx``
+    from the damped sinusoid through the values on grid[i-1 .. i+2] where
+    these four points are equally spaced in theta = arccos x (to 1e-9
+    relative); NaN elsewhere, where the fit is not a damped sinusoid, or
+    where its zero is not strictly inside.
+
+    A damped sinusoid r^t cos(d t + c) sampled at equal steps satisfies
+    g[k+1] = p g[k] + q g[k-1] with p = 2 r cos d and q = -r^2 (Prony's
+    method); the four values fix p and q.  Through g[i] and g[i+1] it is
+    r^s (g[i] sin(d(1 - s)) + g[i+1]/r sin(d s)) / sin d, s from 0 to 1
+    across the bracket in theta; the start is its zero, f' its slope there.
+    """
+    # padded: the end brackets have no outer neighbours
+    g = np.concatenate(([np.nan], vals, [np.nan]))
+    x = np.concatenate(([np.nan], grid, [np.nan]))
+    i = idx + 1
+    with np.errstate(all="ignore"):
+        tm, t0, t1, t2 = (np.arccos(x[i + k]) for k in (-1, 0, 1, 2))
+        h = t1 - t0
+        even = (np.abs(t0 - tm - h) <= 1e-9 * np.abs(h)) & (np.abs(t2 - t1 - h) <= 1e-9 * np.abs(h))
+        scale = np.maximum(np.abs(g[i]), np.abs(g[i + 1]))
+        gm, g0, g1, g2 = (g[i + k] / scale for k in (-1, 0, 1, 2))
+        det = g0 * g0 - g1 * gm
+        r = np.sqrt((g1 * g1 - g0 * g2) / det)
+        c = (g1 * g0 - g2 * gm) / (2.0 * r * det)
+        d = np.arccos(np.where(np.abs(c) < 1.0, c, np.nan))
+        # the zero: tan(d s) = |g0| sin d / (|g0| cos d + |g1|/r), s in (0, 1)
+        a0, a1 = np.abs(g0), np.abs(g1) / r
+        s = np.arctan2(a0 * np.sin(d), a0 * np.cos(d) + a1) / d
+        ts = t0 + s * h
+        start = np.cos(ts)
+        dg = scale * r ** s * d * (g1 / r * np.cos(d * s) - g0 * np.cos(d * (1.0 - s))) / np.sin(d)
+        slope = dg / (-np.sin(ts) * h)
+        ok = (even & (start > grid[idx]) & (start < grid[idx + 1])
+              & (slope * (vals[idx + 1] - vals[idx]) > 0.0))
+    return np.where(ok, start, np.nan), np.where(ok, slope, np.nan)
 
 
 def grid_roots(f, grid, vals, count=None):
     """The first ``count`` zeros (all when None), ascending, of f with the
     values ``vals`` on the ascending ``grid``: its refined sign changes and
-    the grid points where f is 0 between values of opposite sign."""
+    the grid points where f is 0 between values of opposite sign.  A
+    bracket starts from ``sinusoid_starts`` where that gives a start, and
+    from its secant point elsewhere."""
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)[:count]
     exact = np.flatnonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0.0)) + 1
-    roots = refine_brackets(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
+    start, slope = sinusoid_starts(grid, vals, idx)
+    roots = refine_brackets(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1],
+                            start, slope)
     return np.sort(np.concatenate([roots, grid[exact]]))[:count]
 
 

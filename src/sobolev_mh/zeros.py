@@ -2,18 +2,23 @@
 
 All n zeros are real and simple, cluster quadratically at the right
 endpoint and at most one sits above 1.  The bracketing grid is sized to
-them: a cosine sweep of [-1, 1] with four points per zero gap in theta, and
-a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)), step
-0.2, over the first j + 16 Bessel zeros of order alpha, where the scaled
-zeros stray from the Jacobi ones.  Q(1) is on the grid, with the value of
-its closed form (``q_deriv_at_one``): Clenshaw's cancels to noise when Q(1)
-is far below P_n(1).  Only when Q(1) is not positive is there a zero at or
-above 1, and the ladder 1 + 1e-9 2^(k/8), k = 0..359, evaluated with
-overflow ignored, extends the grid to its first positive value;
+them: a cosine sweep of [-1, 1] with two points per zero gap in theta of
+the effective degree N = n + max(0, (alpha + beta + 1)/2), the frequency of
+Darboux's formula (Szego, Thm 8.21.8), so that the sweep keeps pace with
+zeros that crowd into a narrower arc when alpha + beta is large against n;
+and a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)),
+step 0.2, over the first j + 16 Bessel zeros of order alpha, where the
+scaled zeros stray from the Jacobi ones.  Q(1) is on the grid, with the value of its closed form
+(``q_deriv_at_one``): Clenshaw's cancels to noise when Q(1) is far below
+P_n(1).  Only when Q(1) is not positive is there a zero at or above 1, and
+the ladder 1 + 1e-9 2^(k/8), k = 0..359, evaluated with overflow ignored in
+the grid's one Clenshaw pass, extends the grid to its first positive value;
 ``ZeroSet.outside_count`` reports that zero.  One pass of
 ``kernels.grid_roots`` over this grid finds every zero, each refined by a
 safeguarded secant iteration on values of Q alone (no derivative is
-formed); a set it leaves short is a ``NumericError``.  The scaled zeros
+formed); on the sweep it starts from the zero of the damped sinusoid
+through the four values around the bracket, about two refine passes per
+zero.  A set it leaves short is a ``NumericError``.  The scaled zeros
 n sqrt(2(1 - y)) are formed only by ``convergence_table``, which leaves out
 the largest zero exactly when the limit function is not positive at 0
 (b_0 <= 0): n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).  For
@@ -56,8 +61,6 @@ class ZeroSet:
 
 def _bracket_grid(setup, n):
     p = setup.params
-    # four cosine points per zero gap in theta over [-1, 1]
-    coarse = np.cos(np.linspace(0.0, math.pi, 4 * (n + 1)))
     # only the first j + 2 or so scaled zeros stray from the Bessel zeros of
     # order alpha, so the u-grid covers the first j + 16 of those; McMahon's
     # expansion is plenty for a grid bound (the far zeros to ~4 decimals).
@@ -68,7 +71,18 @@ def _bracket_grid(setup, n):
     u_max = min(2.0 * _mcmahon_guess(p.a, i_peak), 2.0 * n)
     u = np.arange(0.2, u_max, 0.2)
     fine = 1.0 - u * u / (2.0 * n * n)
-    return _sorted_distinct(np.concatenate([coarse, fine]))
+    return _sorted_distinct(np.concatenate([_sweep(setup, n), fine]))
+
+
+def _sweep(setup, n):
+    """The cosine sweep of [-1, 1], ascending: two points per zero gap in
+    theta of the effective degree N = n + max(0, (alpha + beta + 1)/2), the
+    frequency of Darboux's formula, that is 2(ceil(N) + 1) points.  N counts
+    at most 5e5 beyond n, which bounds the sweep at huge exponents (at
+    alpha = 1e10 and n = 10 its 1e6 points still bracket every zero)."""
+    p = setup.params
+    N = n + min(max(0.0, 0.5 * (p.a + p.b + 1.0)), 5e5)
+    return np.cos(np.linspace(math.pi, 0.0, 2 * (math.ceil(N) + 1)))
 
 
 def _sorted_distinct(v):
@@ -87,20 +101,19 @@ def _brackets(series, grid, q_at_one):
     """The Jacobi series on the ascending ``grid``, whose top is x = 1:
     (grid, values), the value at 1 being ``q_at_one`` and not Clenshaw's,
     the grid extended by the ladder 1 + 1e-9 2^(k/8), k = 0..359, up to its
-    first positive value before any that is not finite, when the series is
-    not positive at 1 (with a positive leading coefficient, exactly when a
-    zero lies at or above it)."""
+    first positive value before any that is not finite, when ``q_at_one``
+    is not positive (with a positive leading coefficient, exactly when a
+    zero lies at or above 1).  Grid and ladder share one Clenshaw pass."""
     n = len(series.coeffs) - 1
+    ladder = grid[-1] + _LADDER if q_at_one <= 0.0 else grid[:0]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = clenshaw_eval(series, grid)
+        vals = clenshaw_eval(series, np.concatenate([grid, ladder]))
+    vals, lv = vals[:len(grid)], vals[len(grid):]
     vals[-1] = q_at_one
     if not np.isfinite(vals).all():
         raise NumericError(f"degree {n}: the series overflows a double on "
                            f"the bracket grid")
-    if vals[-1] <= 0.0:
-        ladder = grid[-1] + _LADDER
-        with np.errstate(over="ignore", invalid="ignore"):
-            lv = clenshaw_eval(series, ladder)
+    if len(ladder):
         finite = np.logical_and.accumulate(np.isfinite(lv))
         up = np.flatnonzero(finite & (lv > 0.0))
         if len(up) == 0:

@@ -33,6 +33,7 @@ from sobolev_mh.zeros import (
     _LADDER,
     _bracket_grid,
     _brackets,
+    _sweep,
     convergence_table,
     limit_zeros,
     sobolev_zeros,
@@ -176,6 +177,93 @@ def test_refine_start_on_the_zero_is_one_pass():
     assert root == 0.5 and passes == 1
 
 
+def _damped_cosine(x):
+    # 1.3^theta cos(40.5 theta + 0.3) in theta = arccos x: a damped sinusoid
+    theta = np.arccos(x)
+    return 1.3 ** theta * np.cos(40.5 * theta + 0.3)
+
+
+def test_sinusoid_start_of_a_damped_sinusoid_is_its_zero():
+    # Prony's fit is exact on a damped sinusoid sampled at equal theta steps,
+    # so each start is the zero and its slope the derivative, to rounding
+    grid = np.cos(np.linspace(np.pi, 0.0, 83))
+    vals = _damped_cosine(grid)
+    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    start, slope = kernels.sinusoid_starts(grid, vals, idx)
+    k = np.arange(41)
+    zeros = np.cos(((k + 0.5) * np.pi - 0.3) / 40.5)
+    inner = (idx >= 1) & (idx + 2 < len(grid))  # the end brackets lack a neighbour
+    assert np.isnan(start[~inner]).all() and np.isnan(slope[~inner]).all()
+    ref = np.sort(zeros)[inner]
+    assert np.max(np.abs(start[inner] - ref)) <= 1e-13
+    h = 1e-7
+    dref = (_damped_cosine(ref + h) - _damped_cosine(ref - h)) / (2.0 * h)
+    assert np.max(np.abs(slope[inner] / dref - 1.0)) <= 1e-6
+
+
+def test_sinusoid_start_needs_points_equally_spaced_in_theta():
+    # the zero scans run on grids equally spaced in x, and keep the secant start
+    grid = np.arange(1e-3, 0.999, 0.02)
+    vals = np.sin(30.0 * grid)
+    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    start, slope = kernels.sinusoid_starts(grid, vals, idx)
+    assert len(idx) > 0 and np.isnan(start).all() and np.isnan(slope).all()
+
+
+def test_model_start_is_not_accepted_without_a_secant_step():
+    # from the exact zero and slope of x - 0.3 the model step is below the
+    # tolerance, yet a second pass measures the secant step that ends the root
+    passes = 0
+
+    def f(x):
+        nonlocal passes
+        passes += 1
+        return x - 0.3
+
+    lo, hi = np.array([0.0]), np.array([1.0])
+    root = kernels.refine_brackets(f, lo, hi, lo - 0.3, hi - 0.3,
+                                   np.array([0.3 + 4.0 * np.spacing(0.3)]), np.array([1.0]))
+    assert passes == 2 and root[0] == 0.3
+
+
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_zero_set_work_is_pinned(tabulated_setup, n, monkeypatch):
+    # grid pass and refine together: two grid points per zero gap, then
+    # about two refine passes per zero from the sinusoid starts (4.1-4.6 n;
+    # 7.9-8.4 n from four points per gap and secant-point starts)
+    points = 0
+    clenshaw = kernels.clenshaw_batch
+
+    def counted(c, A, B, C, x):
+        nonlocal points
+        points += np.size(x)
+        return clenshaw(c, A, B, C, x)
+
+    monkeypatch.setattr(kernels, "clenshaw_batch", counted)
+    sobolev_zeros(tabulated_setup, n)
+    assert points <= 5.5 * n
+
+
+def test_exterior_ladder_rides_in_the_grid_pass(critical_big, monkeypatch):
+    # Q(1) < 0: the ladder above 1 is evaluated in the grid's one Clenshaw call
+    calls, at_refine = 0, []
+    clenshaw, refine = kernels.clenshaw_batch, kernels.refine_brackets
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return clenshaw(*args)
+
+    def first_refine(*args):
+        at_refine.append(calls)
+        return refine(*args)
+
+    monkeypatch.setattr(kernels, "clenshaw_batch", counted)
+    monkeypatch.setattr(kernels, "refine_brackets", first_refine)
+    zs = sobolev_zeros(critical_big, 250)
+    assert zs.outside_count == 1 and at_refine == [1]
+
+
 def test_far_exterior_zero_is_found():
     # the largest zero sits near 2.943, far above 1 at this low degree
     setup = SobolevSetup(JacobiParams(10, 0), 6, MassSequence(MassKind.PLAIN, 1e6, 1))
@@ -260,6 +348,48 @@ def test_robustness_sweep(alpha, n, monkeypatch):
         passes = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            zs = sobolev_zeros(setup, n)
+        assert len(zs.zeros) == n, case
+        assert zs.outside_count <= 1, case
+        assert passes == 1, case
+
+
+def test_sweep_is_bounded_at_huge_exponents():
+    # N = n + (alpha + beta + 1)/2 counts at most 5e5 beyond n: about 1e6
+    # sweep points at alpha = 1e10, which still bracket all ten zeros
+    setup = SobolevSetup(JacobiParams(1e10, 0), 1, MassSequence(MassKind.PLAIN, 1, 3e10))
+    assert len(_sweep(setup, 10)) == 2 * (10 + 500_000 + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zs = sobolev_zeros(setup, 10)
+    assert len(zs.zeros) == 10 and np.all(np.diff(zs.zeros) < 0.0)
+
+
+@pytest.mark.parametrize("alpha", [30, 91, 150])
+def test_crowded_zeros_sweep(alpha, monkeypatch):
+    """Where (alpha + beta)/2 is large against n the zeros crowd toward -1,
+    and the sweep has two points per zero gap of n + (alpha + beta + 1)/2:
+    every case of beta in {0, 30, 91}, j in {0, 1, 3}, n in {1, 2, 5, 10,
+    20, 60}, gamma in {1, 12, 400}, plain M in {1, 1e6} finds n zeros, at
+    most one above 1, on the one grid pass and without a warning."""
+    passes = 0
+    found = kernels.grid_roots
+
+    def counted(f, grid, vals):
+        nonlocal passes
+        passes += 1
+        return found(f, grid, vals)
+
+    monkeypatch.setattr(kernels, "grid_roots", counted)
+    for beta, j, n, gamma, M in itertools.product((0, 30, 91), (0, 1, 3),
+                                                  (1, 2, 5, 10, 20, 60), (1, 12, 400),
+                                                  (1, 1e6)):
+        case = f"alpha={alpha} beta={beta} j={j} gamma={gamma} M={M} n={n}"
+        setup = SobolevSetup(JacobiParams(alpha, beta), j,
+                             MassSequence(MassKind.PLAIN, M, gamma))
+        passes = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             zs = sobolev_zeros(setup, n)
         assert len(zs.zeros) == n, case
         assert zs.outside_count <= 1, case
