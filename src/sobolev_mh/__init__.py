@@ -6,6 +6,13 @@ endpoint (Bessel-type) limit functions in the three mass-size regimes,
 and the scaled-zero tables connecting the two.
 """
 
+import os
+
+# Nothing here calls BLAS or LAPACK, yet numpy's OpenBLAS starts a worker
+# thread at import that spins for ~130 ms of CPU; a preset value is kept.
+# Set before the first import below, which is the first to load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .asymptotics import (
     LimitFunction,
     Regime,

@@ -3,7 +3,8 @@
 The scaled polynomials n^(-alpha) Q_n(1 - x^2/(2n^2)) converge to a short
 combination of Bessel functions whose coefficients depend on how the mass
 exponent gamma compares with 2(alpha + 2j + 1).  The coefficient recursion
-is one triangular solve on the leading fraction (derivative-ratio limit)
+is one triangular solve, in exact rationals, on the leading fraction
+(derivative-ratio limit)
   (M (i - j) + G (alpha + j + i + 1)) / ((alpha + j + i + 1) (M + G)),
   G = Gamma(alpha+j+1)^2 2^(alpha+beta+2j+1) (alpha+2j+1),
 with M = lim M_n n^gamma (``MassSequence.m``) when critical and
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jacobi import _LOG_MAX, JacobiParams, solve_connection
+from .jacobi import _LOG_MAX, JacobiParams
 from .sobolev import MassKind, MassSequence, SobolevSetup
 from .special_functions import _bessel_z, log_gamma
 
@@ -106,22 +107,36 @@ def limit_coeffs(setup):
         b = np.zeros(j + 2)
         b[0] = 1.0
         return LimitFunction(alpha=a, b=b, regime=regime)
-    # subcritical: (M, G) = (1, 0), the lead fraction is (i - j) / (a + j + i + 1)
-    M, G = 1.0, 0.0
+    b = _subcritical_coeffs(Fraction(p.alpha), j)
     if regime.kind is RegimeKind.CRITICAL:
         M = setup.mass.m
-        # lead multiplies G, and M + G, by up to a + 2j + 2
+        # an exit where G, or M + G, times a + 2j + 2 is not a double
         G = _G(a, p.b, j, factor=a + 2.0 * j + 2.0)
         if not math.isfinite((a + 2.0 * j + 2.0) * (M + G)):
             raise OverflowError(f"the mass limit M = {M:g} is above the double range "
                                 f"at alpha = {a:g}, j = {j}")
+        # the system is linear and the lead 1 has the solution e_0, so the
+        # critical lead sigma lead_sub + 1 - sigma has sigma b_sub + (1 - sigma) e_0
+        sigma = Fraction(M) / (Fraction(M) + Fraction(G))
+        b = [sigma * v for v in b]
+        b[0] += 1 - sigma
+    return LimitFunction(alpha=a, b=[float(v) for v in b], regime=regime)
 
-    i = np.arange(j + 2.0)
-    lead = (M * (i - j) + G * (a + j + i + 1.0)) / ((a + j + i + 1.0) * (M + G))
-    # the limit of the entries of connection_coeffs: 2^i Gamma(a+k+1)/Gamma(a+k+i+1)
-    i, k = i[:, None], i
-    entry = np.exp(i * math.log(2.0) + log_gamma(a + k + 1.0) - log_gamma(a + k + i + 1.0))
-    return LimitFunction(alpha=a, b=solve_connection(lead, entry), regime=regime)
+
+def _subcritical_coeffs(a, j):
+    # the limit system of connection_coeffs at (M, G) = (1, 0), in exact
+    # rationals: lead (k - j)/(a + j + k + 1), entries 2^i / prod_{m=1..i} (a+k+m);
+    # it is ill-conditioned in j (a double solve is 1e-5 off at a = 30, j = 10)
+    b = []
+    for k in range(j + 2):
+        acc = (k - j) / (a + j + k + 1)
+        entry, c = Fraction(1), 1  # entry[i, k], and C(k, i) (-1)^i i!
+        for i in range(k):
+            acc -= c * entry * b[i]
+            entry = 2 * entry / (a + k + i + 1)
+            c *= i - k
+        b.append(acc / (c * entry))
+    return b
 
 
 def limit_eval(lf, x):

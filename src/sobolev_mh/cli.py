@@ -6,6 +6,13 @@
 Jobs: tables, zeros, mh-curve, limits, verify.  Exit codes: 0 ok, 1
 verification failure, 2 configuration error, other ValueError or path error
 (--config or --out; checked before the job runs), 3 numeric failure.
+
+``main`` runs one job and returns its exit code.  ``run``, the entry of the
+console script and of ``python -m sobolev_mh.cli``, calls ``main``, flushes
+stdout and stderr and ends the process with ``os._exit``: no job needs the
+interpreter's final garbage collection and module teardown.  Under a tracer
+or profiler (coverage, ``python -m cProfile``) it returns normally instead,
+so they can write their results at exit.
 """
 
 import argparse
@@ -221,5 +228,20 @@ def main(argv=None):
         return 3
 
 
+def run(argv=None):
+    """``main`` and the fast exit of the module docstring."""
+    code = main(argv)
+    # a tracer or profiler (coverage, cProfile) writes its results at exit;
+    # from Python 3.12 it may hook in through sys.monitoring instead
+    mon = getattr(sys, "monitoring", None)
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or (mon is not None and any(mon.get_tool(i) for i in range(6)))):
+        return code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the fd was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

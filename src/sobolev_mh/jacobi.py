@@ -4,9 +4,9 @@ Values at 1, derivative values at 1 and squared norms are closed Gamma
 expressions of a degree or an array of degrees, kept as logs until the
 final value (one ``log_gamma`` pass each, nothing cached); pointwise
 evaluation, of a single degree or of a series, is Clenshaw's backward
-three-term recurrence.  The short connection formulas against
-parameter-shifted polynomials, at finite degree and in the Mehler-Heine
-limit, share one triangular solve.
+three-term recurrence.  The short connection formula against
+parameter-shifted polynomials at finite degree is one triangular solve in
+double; its Mehler-Heine limit is solved in exact rationals (asymptotics).
 """
 
 import math
@@ -114,7 +114,9 @@ def solve_connection(rhs, entry):
     """Forward substitution of sum_{i<=k} C(k,i) (-1)^i i! entry[..., i, k] b_i
     = rhs[..., k] for b[..., K], given arrays rhs[..., K] and entry[..., K, K]
     of one leading shape: the triangular system of a short connection formula
-    against (1-x)^i P_{n-i}^{(alpha+2i, beta)} and of its limit."""
+    against (1-x)^i P_{n-i}^{(alpha+2i, beta)}.  The system is ill-conditioned
+    in j: against 50-digit mpmath at n = 120, b is 1.6e-4 off at alpha = 30,
+    j = 10 and 7.6e-12 on the presets (j = 3), relative to its largest entry."""
     b = np.empty(rhs.shape)
     for k in range(rhs.shape[-1]):
         acc = rhs[..., k]

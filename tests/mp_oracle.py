@@ -8,8 +8,12 @@ connection system from the derivatives Q_n^(k)(1) = d_n(k) - c_n K^{(j,k)}
 without the k = j rearrangement.  The inputs are the binary64 exponents and
 mass values the program itself uses.  Bessel J and the limit functions
 L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x) come from mpmath's
-besselj at the binary64 arguments.
+besselj at the binary64 arguments; their coefficients at a subcritical or
+critical mass, from the limit system solved in exact rationals.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -43,6 +47,25 @@ def limit_value(lf, x, dps=40):
         x = mp.mpf(x)
         return float(mp.fsum(mp.mpf(b) * 2 ** i * (x / 2) ** -a * mp.besselj(a + 2 * i, x)
                              for i, b in enumerate(lf.b)))
+
+
+def exact_limit_coeffs(alpha, j, sigma=1):
+    """b_0..b_{j+1} as Fractions: the textbook triangular system
+    sum_{i<=k} C(k,i) (-1)^i i! 2^i / ((alpha+k+1)...(alpha+k+i)) b_i = lead_k
+    with lead_k = sigma (k - j)/(alpha + j + k + 1) + 1 - sigma, so sigma = 1
+    is subcritical and sigma = M/(M + G) critical."""
+    a, sigma = Fraction(alpha), Fraction(sigma)
+
+    def entry(i, k):
+        return Fraction(2 ** i) / math.prod(a + k + m for m in range(1, i + 1))
+
+    b = []
+    for k in range(j + 2):
+        acc = sigma * (k - j) / (a + j + k + 1) + 1 - sigma
+        for i in range(k):
+            acc -= math.comb(k, i) * (-1) ** i * math.factorial(i) * entry(i, k) * b[i]
+        b.append(acc / ((-1) ** k * math.factorial(k) * entry(k, k)))
+    return b
 
 
 def limit_zeros(lf, count, dps=40):

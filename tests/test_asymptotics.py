@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from mp_oracle import limit_value
+from mp_oracle import exact_limit_coeffs, limit_value
 from reference_values import TRUE_LIMIT_COEFFS
 
 from sobolev_mh.asymptotics import (
@@ -125,23 +125,13 @@ class TestLimitCoeffs:
         assert d2 < d1
         assert d2 <= 5e-3
 
-    @pytest.mark.parametrize("max_j, bound", [(3, 3e-13), (8, 1e-10)])
+    @pytest.mark.parametrize("max_j, bound", [(3, 3e-13), (8, 1e-10), (10, 1e-15)])
     def test_subcritical_against_exact_rationals(self, max_j, bound):
-        # at integer alpha the subcritical system is rational: entries
-        # 2^i / ((a+k+1)...(a+k+i)) and lead (k-j)/(a+j+k+1), so Fractions
-        # solve it exactly; the float solve loses up to 1.8e-13 at j <= 3
-        # and 6.2e-11 at j <= 8, relative to the largest coefficient
-        for alpha, j in itertools.product((0, 1, 3, 7), range(max_j + 1)):
-            def entry(i, k):
-                return Fraction(2 ** i, math.prod(range(alpha + k + 1, alpha + k + i + 1)))
-
-            b = []
-            for k in range(j + 2):
-                acc = Fraction(k - j, alpha + j + k + 1)
-                for i in range(k):
-                    acc -= math.comb(k, i) * (-1) ** i * math.factorial(i) * entry(i, k) * b[i]
-                b.append(acc / ((-1) ** k * math.factorial(k) * entry(k, k)))
-            exact = np.array([float(v) for v in b])
+        # the subcritical system is rational in alpha; a solve in double was
+        # 1.8e-13 off at j <= 3, 6.2e-11 at j <= 8 and 4.6e-5 at alpha = 30,
+        # j = 10, relative to the largest coefficient
+        for alpha, j in itertools.product((0, 1, 3, 7, 30), range(max_j + 1)):
+            exact = np.array([float(v) for v in exact_limit_coeffs(alpha, j)])
             setup = SobolevSetup(JacobiParams(alpha, 0), j, MassSequence(MassKind.PLAIN, 1, 1))
             err = np.max(np.abs(limit_coeffs(setup).b - exact)) / np.max(np.abs(exact))
             assert err <= bound, (alpha, j, err)

@@ -13,12 +13,17 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from mp_oracle import SobolevOracle, coeff_error, series_roots
+from mp_oracle import SobolevOracle, coeff_error, exact_limit_coeffs, series_roots
 from mp_oracle import limit_zeros as mp_limit_zeros
 from reference_values import TRUE_TABLES
 
-from sobolev_mh import kernels
-from sobolev_mh.asymptotics import critical_mass_threshold, limit_coeffs
+from sobolev_mh import asymptotics, kernels
+from sobolev_mh.asymptotics import (
+    LimitFunction,
+    RegimeKind,
+    critical_mass_threshold,
+    limit_coeffs,
+)
 from sobolev_mh.errors import NumericError
 from sobolev_mh.jacobi import JacobiParams, JacobiSeries, clenshaw_eval
 from sobolev_mh.presets import SETUPS
@@ -596,6 +601,25 @@ def test_high_alpha_limit_zeros_against_mpmath(alpha, j):
     # off at alpha = 30, duplicated zeros from alpha = 45)
     lf = _high_alpha_limit(alpha, j)
     ref = mp_limit_zeros(lf, 4)
+    assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("critical", [False, True])
+def test_high_order_limit_zeros_against_exact_coefficients(critical):
+    # alpha = 30, j = 10: the limit system is ill-conditioned in j, and a
+    # double solve printed the fourth zero as 51.0486 (exact: 51.1839), and
+    # 48.3191 (exact: 48.3049) in the critical regime at M = G
+    alpha, j = 30, 10
+    mass = MassSequence(MassKind.PLAIN, 1, Fraction(1))
+    sigma = 1
+    if critical:
+        G = asymptotics._G(float(alpha), 0.0, j)
+        mass = MassSequence(MassKind.PLAIN, G, Fraction(2 * (alpha + 2 * j + 1)))
+        sigma = Fraction(1, 2)
+    lf = limit_coeffs(SobolevSetup(JacobiParams(Fraction(alpha), Fraction(0)), j, mass))
+    assert (lf.regime.kind is RegimeKind.CRITICAL) == critical
+    exact = [float(v) for v in exact_limit_coeffs(alpha, j, sigma)]
+    ref = mp_limit_zeros(LimitFunction(float(alpha), exact, lf.regime), 4)
     assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
 
 
