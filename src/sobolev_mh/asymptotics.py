@@ -64,10 +64,15 @@ def classify_regime(gamma, alpha, j):
     return Regime(kind=kind, threshold=threshold)
 
 
+def _log_G(a, b, j):
+    # log of G / (a+2j+1), G = Gamma(a+j+1)^2 2^(a+b+2j+1) (a+2j+1)
+    return 2.0 * log_gamma(a + j + 1.0) + (a + b + 2.0 * j + 1.0) * math.log(2.0)
+
+
 def _G(a, b, j, what="the limit constant G", factor=1.0):
-    # G = Gamma(a+j+1)^2 2^(a+b+2j+1) (a+2j+1); an OverflowError naming
-    # ``what`` where G times ``factor`` is not a double (alpha = 91 at j = 0)
-    log_g = 2.0 * log_gamma(a + j + 1.0) + (a + b + 2.0 * j + 1.0) * math.log(2.0)
+    # G, or an OverflowError naming ``what`` where G times ``factor`` is not
+    # a double (alpha = 91 at j = 0)
+    log_g = _log_G(a, b, j)
     if log_g + math.log((a + 2.0 * j + 1.0) * factor) > _LOG_MAX:
         raise OverflowError(f"{what} is above the double range at alpha = {a:g}, "
                             f"beta = {b:g}, j = {j}")
@@ -109,17 +114,16 @@ def limit_coeffs(setup):
         return LimitFunction(alpha=a, b=b, regime=regime)
     b = _subcritical_coeffs(Fraction(p.alpha), j)
     if regime.kind is RegimeKind.CRITICAL:
-        M = setup.mass.m
-        # an exit where G, or M + G, times a + 2j + 2 is not a double
-        G = _G(a, p.b, j, factor=a + 2.0 * j + 2.0)
-        if not math.isfinite((a + 2.0 * j + 2.0) * (M + G)):
-            raise OverflowError(f"the mass limit M = {M:g} is above the double range "
-                                f"at alpha = {a:g}, j = {j}")
         # the system is linear and the lead 1 has the solution e_0, so the
-        # critical lead sigma lead_sub + 1 - sigma has sigma b_sub + (1 - sigma) e_0
-        sigma = Fraction(M) / (Fraction(M) + Fraction(G))
+        # critical lead sigma lead_sub + 1 - sigma has sigma b_sub + (1 - sigma) e_0;
+        # sigma = M/(M + G) = 1/(1 + e^t) and 1 - sigma = 1/(1 + e^-t), each from
+        # its own logistic, with t = log G - log M, where G and M need not be doubles
+        t = _log_G(a, p.b, j) + math.log(a + 2.0 * j + 1.0) - math.log(setup.mass.m)
+        e = math.exp(-abs(t))
+        small, large = Fraction(e / (1.0 + e)), Fraction(1.0 / (1.0 + e))
+        sigma, rest = (small, large) if t > 0.0 else (large, small)
         b = [sigma * v for v in b]
-        b[0] += 1 - sigma
+        b[0] += rest
     return LimitFunction(alpha=a, b=[float(v) for v in b], regime=regime)
 
 

@@ -79,7 +79,7 @@ def _csv_tables(cfg, full_precision):
     records = []
     for row in tb.rows:
         for i, raw in enumerate(row.raw):
-            pos = i - tb.excluded
+            pos = i - row.excluded
             scaled = row.scaled[pos] if 0 <= pos < len(row.scaled) else None
             lim = tb.limit[pos] if 0 <= pos < len(tb.limit) else None
             err = abs(scaled - lim) if scaled is not None and lim is not None else None

@@ -30,14 +30,14 @@ starts from the zero of the damped sinusoid through their values
 (``sinusoid_starts``): away from the ends a Jacobi-type polynomial is, to
 O(1/n), a sinusoid in theta over its Darboux envelope (Szego, Thm 8.21.8),
 whose local growth Prony's fit follows; the sinusoid's slope drives the
-first step.  Elsewhere
-a bracket starts from its secant point (its midpoint when that point is
-not strictly inside).  A root is done once its secant step is below 1e-15
-relative to max(1, |x|), never on a model step alone, on an exact zero of
-the function, or when its bracket is at most 1e-13 wide.  A step falls
-back to bisection only when the secant step would leave the bracket or
-fails to halve the step before the last one (the safeguard of ``rtsafe``,
-Numerical Recipes, 3rd ed., section 9.4).
+first step.  Elsewhere, and where the grid has one sign change only (a
+degree-1 polynomial), a bracket starts from its secant point (its midpoint
+when that point is not strictly inside).  A root is done once its secant
+step is below 1e-15 relative to max(1, |x|), never on a model step alone,
+on an exact zero of the function, or when its bracket is at most that
+wide.  A step falls back to bisection only when the secant step would leave
+the bracket or fails to halve the step before the last one (the safeguard
+of ``rtsafe``, Numerical Recipes, 3rd ed., section 9.4).
 """
 
 import numpy as np
@@ -129,8 +129,8 @@ def clenshaw_batch(c, A, B, C, x):
 # Safeguarded secant/bisection refinement of sign-change brackets
 # ---------------------------------------------------------------------------
 
-_XTOL = 1e-13       # bracket width at which a root is done
-_STEP_RTOL = 1e-15  # secant step, relative to max(1, |x|), at which a root is done
+_STEP_RTOL = 1e-15  # secant step or bracket width, relative to max(1, |x|),
+                    # at which a root is done
 _MAX_REFINE = 120
 
 
@@ -148,8 +148,8 @@ def refine_brackets(f, lo, hi, flo, fhi, start=None, slope=None):
     is replaced by bisection.  A root is done when the secant step is at
     most 1e-15 max(1, |x|) (the root is then x minus that step, clipped to
     the bracket), when f(x) == 0 exactly, or when the bracket is at most
-    1e-13 wide (the root is then its secant point when that lies inside,
-    else its midpoint).  A model step never ends a root by itself.
+    that wide (the root is then its secant point when that lies inside, else
+    its midpoint).  A model step never ends a root by itself.
     """
     out = np.empty(len(lo))
     idx = np.arange(len(lo))  # roots still being refined; the rest are in out
@@ -185,9 +185,10 @@ def refine_brackets(f, lo, hi, flo, fhi, start=None, slope=None):
                 step = np.where(model, mstep, step)
         secant = x - step
         hit = fx == 0.0
-        small = ~model & (np.abs(step) <= _STEP_RTOL * np.maximum(1.0, np.abs(x)))
+        tol = _STEP_RTOL * np.maximum(1.0, np.abs(x))
+        small = ~model & (np.abs(step) <= tol)
         inner = ~model & (secant > lo) & (secant < hi)
-        done = hit | small | (hi - lo <= _XTOL)
+        done = hit | small | (hi - lo <= tol)
         if done.any():
             # an exact zero is the answer itself; a converged secant step is
             # taken once more; a collapsed bracket gives its secant point, or
@@ -254,11 +255,12 @@ def grid_roots(f, grid, vals, count=None):
     values ``vals`` on the ascending ``grid``: its refined sign changes and
     the grid points where f is 0 between values of opposite sign.  A
     bracket starts from ``sinusoid_starts`` where that gives a start, and
-    from its secant point elsewhere."""
+    from its secant point elsewhere and when it is the only one: a lone
+    sign change is no oscillation, and a secant step lands on a linear root."""
     sgn = np.sign(vals)
     idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0)[:count]
     exact = np.flatnonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0.0)) + 1
-    start, slope = sinusoid_starts(grid, vals, idx)
+    start, slope = sinusoid_starts(grid, vals, idx) if len(idx) > 1 else (None, None)
     roots = refine_brackets(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1],
                             start, slope)
     return np.sort(np.concatenate([roots, grid[exact]]))[:count]

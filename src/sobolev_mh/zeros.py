@@ -5,10 +5,8 @@ endpoint and at most one sits above 1.  The bracketing grid is sized to
 them: a cosine sweep of [-1, 1] with two points per zero gap in theta of
 the effective degree N = n + max(0, (alpha + beta + 1)/2), the frequency of
 Darboux's formula (Szego, Thm 8.21.8), so that the sweep keeps pace with
-zeros that crowd into a narrower arc when alpha + beta is large against n;
-and a fine endpoint grid in the scaled variable u (x = 1 - u^2/(2n^2)),
-step 0.2, over the first j + 16 Bessel zeros of order alpha, where the
-scaled zeros stray from the Jacobi ones.  Q(1) is on the grid, with the value of its closed form
+zeros that crowd into a narrower arc when alpha + beta is large against n.
+Q(1) is on the grid, with the value of its closed form
 (``q_deriv_at_one``): Clenshaw's cancels to noise when Q(1) is far below
 P_n(1).  Only when Q(1) is not positive is there a zero at or above 1, and
 the ladder 1 + 1e-9 2^(k/8), k = 0..359, evaluated with overflow ignored in
@@ -16,15 +14,18 @@ the grid's one Clenshaw pass, extends the grid to its first positive value;
 ``ZeroSet.outside_count`` reports that zero.  One pass of
 ``kernels.grid_roots`` over this grid finds every zero, each refined by a
 safeguarded secant iteration on values of Q alone (no derivative is
-formed); on the sweep it starts from the zero of the damped sinusoid
+formed); inside the sweep it starts from the zero of the damped sinusoid
 through the four values around the bracket, about two refine passes per
-zero.  A set it leaves short is a ``NumericError``.  The scaled zeros
-n sqrt(2(1 - y)) are formed only by ``convergence_table``, which leaves out
-the largest zero exactly when the limit function is not positive at 0
-(b_0 <= 0): n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1).  For
-b_0 < 0 that zero lies above 1; for b_0 = 0 (j = 0, subcritical) it tends
-to L's zero at 0, which the limit row does not list.  So a mass limit
-M = 0, the classical polynomial, excludes no zero in any regime.
+zero (at degree 1, from its secant point, which lands on the linear root).
+A set it leaves short is a ``NumericError``.  The scaled zeros
+n sqrt(2(1 - y)) are formed only by ``convergence_table``, whose row of
+degree n leaves out the largest zero exactly when that zero is at or above
+1 (the closed-form Q_n(1) is not positive) or when the limit function L
+changes sign on [0, 1e-3], below the scan of the limit row (L(0) = b_0 = 0
+at j = 0, subcritical), where the largest zero tends to a zero of L that
+the row does not list.  n^(-alpha) Q_n(1) -> L(0) = b_0 / Gamma(alpha + 1),
+so from some degree on the rows with b_0 < 0 leave it out too.  A mass
+limit M = 0, the classical polynomial, excludes no zero in any regime.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
 one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
@@ -60,35 +61,16 @@ class ZeroSet:
 
 
 def _bracket_grid(setup, n):
-    p = setup.params
-    # only the first j + 2 or so scaled zeros stray from the Bessel zeros of
-    # order alpha, so the u-grid covers the first j + 16 of those; McMahon's
-    # expansion is plenty for a grid bound (the far zeros to ~4 decimals).
-    # The cosine sweep alone finds the same zeros, but its wider end brackets
-    # cost the refine more passes (242 against 219 Clenshaw passes on 30
-    # seeded sets of degree 500-5000) and time, in each of 3 timed runs
-    i_peak = max(1, min(math.ceil(n / 4), int(setup.j) + 16))
-    u_max = min(2.0 * _mcmahon_guess(p.a, i_peak), 2.0 * n)
-    u = np.arange(0.2, u_max, 0.2)
-    fine = 1.0 - u * u / (2.0 * n * n)
-    return _sorted_distinct(np.concatenate([_sweep(setup, n), fine]))
-
-
-def _sweep(setup, n):
     """The cosine sweep of [-1, 1], ascending: two points per zero gap in
     theta of the effective degree N = n + max(0, (alpha + beta + 1)/2), the
-    frequency of Darboux's formula, that is 2(ceil(N) + 1) points.  N counts
+    frequency of Darboux's formula, that is 2(ceil(N) + 1) points.  Near 1
+    the zeros lie at theta ~ u_k/N, the u_k the limit function's zeros
+    about pi apart (Mehler-Heine), so the sweep brackets them too.  N counts
     at most 5e5 beyond n, which bounds the sweep at huge exponents (at
     alpha = 1e10 and n = 10 its 1e6 points still bracket every zero)."""
     p = setup.params
     N = n + min(max(0.0, 0.5 * (p.a + p.b + 1.0)), 5e5)
     return np.cos(np.linspace(math.pi, 0.0, 2 * (math.ceil(N) + 1)))
-
-
-def _sorted_distinct(v):
-    # np.unique would import numpy.ma on first use, ~5 ms of every job
-    v = np.sort(v)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 # offsets above the top of the grid where the exterior zero is looked for:
@@ -156,6 +138,7 @@ def limit_zeros(lf, count):
 @dataclass(frozen=True)
 class TableRow:
     n: int
+    excluded: int                           # 1 when the largest zero is left out
     raw: np.ndarray = field(repr=False)     # `count` largest zeros, descending
     scaled: np.ndarray = field(repr=False)  # increasing, the excluded zero left out
 
@@ -163,7 +146,6 @@ class TableRow:
 @dataclass(frozen=True)
 class ConvergenceTable:
     count: int
-    excluded: int
     rows: list
     limit: np.ndarray = field(repr=False)
 
@@ -184,19 +166,22 @@ def convergence_table(setup, ns, count, zero_sets=None):
     for n in ns:
         if n not in zero_sets:
             zero_sets[n] = sobolev_zeros(setup, n)
-    # built after the zeros, so that their failures come first; L(0) < 0
-    # is the largest zero above 1, and L(0) = 0 a largest zero that tends to
-    # L's zero at 0, which the limit row does not list
+    # built after the zeros, so that their failures come first; Q_n(1) <= 0
+    # is a largest zero at or above 1, and a sign change of L on [0, 1e-3],
+    # below the limit row's scan, a largest zero that tends to a zero of L
+    # the row does not list: L(0) = 0 (b_0 = 0), or b_0 = G/(M + G) ~ 8e-308
+    # at j = 0, critical, M = 1e308, with L's first zero near 1e-153
     lf = limit_coeffs(setup)
-    excluded = int(lf.b[0] <= 0.0)
+    unlisted = np.sign(lf.b[0]) * np.sign(limit_eval(lf, 1e-3)) <= 0.0
+    excluded = (q_deriv_at_one(setup, np.array(ns), 0) <= 0.0) | unlisted
     rows = []
-    for n in ns:
+    for n, excl in zip(ns, excluded.astype(int).tolist()):
         zs = zero_sets[n]
-        raw = zs.zeros[:count].copy()
-        sel = zs.zeros[excluded:count]
-        sel = sel[sel <= 1.0]
-        scaled = n * np.sqrt(2.0 * (1.0 - sel))
-        rows.append(TableRow(n=n, raw=raw, scaled=scaled))
-    # when the excluded zero is the only one asked for, the limit row is empty
-    lim = limit_zeros(lf, count - excluded) if count > excluded else np.empty(0)
-    return ConvergenceTable(count=count, excluded=excluded, rows=rows, limit=lim)
+        scaled = n * np.sqrt(2.0 * (1.0 - zs.zeros[excl:count]))
+        rows.append(TableRow(n=n, excluded=excl, raw=zs.zeros[:count].copy(),
+                             scaled=scaled))
+    # the limit row serves the row that excludes the fewest; it is empty when
+    # every row excludes the only zero asked for
+    listed = count - int(excluded.all())
+    lim = limit_zeros(lf, listed) if listed else np.empty(0)
+    return ConvergenceTable(count=count, rows=rows, limit=lim)

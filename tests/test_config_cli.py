@@ -444,17 +444,22 @@ class TestCliErrors:
         assert err.startswith("numeric failure: found 9 of 10 zeros")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables", "zeros"])
-    def test_overflow_is_one_line(self, tmp_path, capsys, job):
+    @pytest.mark.parametrize("job", ["limits", "mh-curve", "tables"])
+    def test_critical_limit_beyond_the_double_range_is_computed(self, tmp_path, capsys,
+                                                                job):
         # critical: the constant G of the limit coefficients is above the
-        # double range, at alpha = 91 only once multiplied by alpha + 2; at
-        # M = 1e308, M + G is a double and (alpha + 2)(M + G) is not
-        limit = [(_plain_cfg(alpha, 2 * (alpha + 1)),
-                  f"the limit constant G is above the double range at alpha = {alpha}, "
-                  f"beta = 0, j = 0") for alpha in (91, 100)]
-        limit.append((_plain_cfg(1, 4, "150 500").replace("M = 1", "M = 1e308"),
-                      "the mass limit M = 1e+308 is above the double range at alpha = 1, "
-                      "j = 0"))
+        # double range at alpha = 91 and 100, and M = 1e308 is; the limit
+        # needs only log G - log M
+        for text in [_plain_cfg(alpha, 2 * (alpha + 1)) for alpha in (91, 100)] + [
+                _plain_cfg(1, 4, "150 500").replace("M = 1", "M = 1e308")]:
+            cfg = _write_cfg(tmp_path, text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("job", ["mh-curve", "tables", "zeros"])
+    def test_overflow_is_one_line(self, tmp_path, capsys, job):
         # the power n ** gamma of a mass family overflows, or underflows
         # into a divisor
         masses = [(LEGENDRE_CFG.replace("alpha = 0", "alpha = 1").replace("M = 0", "M = 1")
@@ -466,8 +471,7 @@ class TestCliErrors:
                                                 ("exp-rational", -400, 700, "-400"),
                                                 ("plain", -1e300, 10, "-1e+300"),
                                                 ("poly-ratio", 1e300, 10, "1e+300"))]
-        cases = {"limits": limit, "zeros": masses}.get(job, limit + masses)
-        for text, message in cases:
+        for text, message in masses:
             cfg = _write_cfg(tmp_path, text)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -485,15 +489,9 @@ class TestCliErrors:
             assert main([job, "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
-        assert len(err.splitlines()) == 1
-        if key == "beta" or job == "mh-curve":
-            a, b = ("1e+300", "0") if key == "alpha" else ("0", "1e+300")
-            assert err == (f"numeric failure: the Jacobi recurrence at alpha = {a}, "
-                           f"beta = {b} is not finite in double precision\n")
-        else:
-            # the u-grid bound of the bracket grid, before any recurrence
-            assert err == ("numeric failure: McMahon's estimate of zero 3 of the Bessel "
-                           "function of order 1e+300 is beyond the double range\n")
+        a, b = ("1e+300", "0") if key == "alpha" else ("0", "1e+300")
+        assert err == (f"numeric failure: the Jacobi recurrence at alpha = {a}, "
+                       f"beta = {b} is not finite in double precision\n")
 
     def test_grid_overflow_is_one_line(self, tmp_path, capsys):
         # alpha = 300, n = 3000: P_n(1) is above the double range, so the

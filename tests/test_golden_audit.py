@@ -77,8 +77,10 @@ class TestTables34MassScale:
                 params=base.params, j=base.j,
                 mass=MassSequence(MassKind.CUSTOM, 1.0, base.mass.gamma,
                                   custom_values=custom))
+            # the printed rows leave out the largest zero at both degrees, by
+            # the regime; a row here leaves it out only where it is above 1
             tb = convergence_table(slipped, [n], 4)
-            np.testing.assert_allclose(tb.rows[0].scaled, table4.rows[n],
+            np.testing.assert_allclose(tb.rows[0].scaled[-3:], table4.rows[n],
                                        rtol=5e-3)
             zs = sobolev_zeros(slipped, n)
             if n == 150:

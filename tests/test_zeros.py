@@ -38,7 +38,6 @@ from sobolev_mh.zeros import (
     _LADDER,
     _bracket_grid,
     _brackets,
-    _sweep,
     convergence_table,
     limit_zeros,
     sobolev_zeros,
@@ -102,6 +101,27 @@ def test_end_zeros_match_the_60_digit_roots_of_the_same_series(tabulated_setup):
     ref = series_roots(sobolev_polynomial(tabulated_setup, n), ends)
     err = [float(abs(mp.mpf(z) - r)) / max(1.0, abs(z)) for z, r in zip(ends, ref)]
     assert max(err) <= 8e-17
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, kind, M, n", [
+    ("4", "2/5", "5/2", MassKind.PLAIN, "11909/100", 500),
+    ("73/10", "12/5", "996/125", MassKind.PLAIN, "265717/100", 500),
+    ("41/10", "24/5", "969/500", MassKind.PLAIN, "66/25", 500),
+    pytest.param("22/5", "31/10", "1431/250", MassKind.POLY_RATIO, "127/100", 5000,
+                 marks=pytest.mark.slow)])
+def test_largest_zero_within_an_ulp_of_one_matches_the_60_digit_root(alpha, beta, gamma,
+                                                                     kind, M, n):
+    # j = 0, subcritical: the largest zero lies within an ulp of 1, where one
+    # ulp moves Q by 2.5e-3; a bracket that ended at 1e-13 wide returned it
+    # 3.8e-14 (n = 500) and 4.9e-14 (n = 5000) below the root.  Q(1) > 0 in
+    # closed form puts the root at or below 1, the top of the grid; the
+    # binary64 series has its root 2.8e-16 above 1 at alpha = 73/10
+    setup = SobolevSetup(JacobiParams(Fraction(alpha), Fraction(beta)), 0,
+                         MassSequence(kind, Fraction(M), Fraction(gamma)))
+    assert q_deriv_at_one(setup, n, 0) > 0.0
+    top = sobolev_zeros(setup, n).zeros[0]
+    ref = min(series_roots(sobolev_polynomial(setup, n), [top])[0], 1)
+    assert float(abs(mp.mpf(top) - ref)) <= 2.2e-16
 
 
 def _counted_refine(setup, n, monkeypatch):
@@ -231,10 +251,12 @@ def test_model_start_is_not_accepted_without_a_secant_step():
     assert passes == 2 and root[0] == 0.3
 
 
-@pytest.mark.parametrize("n", [2000, 5000])
+@pytest.mark.parametrize("n", [500, 2000, 5000])
 def test_zero_set_work_is_pinned(tabulated_setup, n, monkeypatch):
     # grid pass and refine together: two grid points per zero gap, then
-    # about two refine passes per zero from the sinusoid starts (4.1-4.6 n;
+    # about two refine passes per zero from the sinusoid starts (4.0-4.2 n
+    # at n = 2000 and 5000, 4.6-5.5 n at n = 500; 5.8-6.8 n at n = 500 with
+    # a step-0.2 grid over the first j + 16 Bessel zeros added to the sweep,
     # 7.9-8.4 n from four points per gap and secant-point starts)
     points = 0
     clenshaw = kernels.clenshaw_batch
@@ -246,7 +268,7 @@ def test_zero_set_work_is_pinned(tabulated_setup, n, monkeypatch):
 
     monkeypatch.setattr(kernels, "clenshaw_batch", counted)
     sobolev_zeros(tabulated_setup, n)
-    assert points <= 5.5 * n
+    assert points <= (5.6 if n == 500 else 5.5) * n
 
 
 def test_exterior_ladder_rides_in_the_grid_pass(critical_big, monkeypatch):
@@ -363,7 +385,7 @@ def test_sweep_is_bounded_at_huge_exponents():
     # N = n + (alpha + beta + 1)/2 counts at most 5e5 beyond n: about 1e6
     # sweep points at alpha = 1e10, which still bracket all ten zeros
     setup = SobolevSetup(JacobiParams(1e10, 0), 1, MassSequence(MassKind.PLAIN, 1, 3e10))
-    assert len(_sweep(setup, 10)) == 2 * (10 + 500_000 + 1)
+    assert len(_bracket_grid(setup, 10)) == 2 * (10 + 500_000 + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         zs = sobolev_zeros(setup, 10)
@@ -492,7 +514,7 @@ def test_legendre_zeros_match_companion_oracle():
 def test_frozen_rows_fast(name, n):
     ref = TRUE_TABLES[name]
     tb = convergence_table(SETUPS[name], [n], 4)
-    assert tb.excluded == ref["excluded"]
+    assert tb.rows[0].excluded == ref["excluded"]
     np.testing.assert_allclose(tb.rows[0].raw, ref["raw"][n], atol=2e-9, rtol=0)
     np.testing.assert_allclose(tb.rows[0].scaled, ref["scaled"][n], atol=1e-6, rtol=0)
     np.testing.assert_allclose(tb.limit, ref["limit"], atol=1e-8, rtol=0)
@@ -623,6 +645,47 @@ def test_high_order_limit_zeros_against_exact_coefficients(critical):
     assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha, M", [(91, 1.0), (100, 1.0), (1, 1e308)])
+def test_critical_limit_beyond_the_double_range(alpha, M):
+    # critical at j = 0: G = (alpha!)^2 2^(alpha+1) (alpha+1) is above the
+    # double range at alpha = 91 and 100, and M = 1e308 is against G = 8;
+    # sigma = M/(M + G) comes from log G - log M, neither formed
+    mass = MassSequence(MassKind.PLAIN, M, Fraction(2 * (alpha + 1)))
+    lf = limit_coeffs(SobolevSetup(JacobiParams(Fraction(alpha), Fraction(0)), 0, mass))
+    assert lf.regime.kind is RegimeKind.CRITICAL
+    G = math.factorial(alpha) ** 2 * 2 ** (alpha + 1) * (alpha + 1)
+    exact = [float(v) for v in exact_limit_coeffs(alpha, 0, Fraction(M) / (Fraction(M) + G))]
+    assert np.max(np.abs(lf.b - exact)) <= 2.2e-16 * np.max(np.abs(exact))
+    ref = mp_limit_zeros(LimitFunction(float(alpha), exact, lf.regime), 4)
+    assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
+    if M == 1e308:
+        # sigma rounds to 1: b is the subcritical (0, -1/2) but for b_0 = 1 - sigma
+        sub = limit_coeffs(_plain_setup(alpha, 0, 0, 1))
+        assert lf.b[1] == sub.b[1] == -0.5 and lf.b[0] == pytest.approx(8e-308, rel=1e-15)
+
+
+@pytest.mark.parametrize("setup, degrees, excluded", [
+    # b_0 = -0.657 < 0, yet Q_n(1) > 0 at n = 300 and 1000: the largest zero
+    # is inside [-1, 1] and tracks the first limit zero; at n = 3000 it is
+    # above 1.  Excluded from every row, it shifted the first two rows
+    (SobolevSetup(JacobiParams(Fraction(37, 10), Fraction(49, 5)), 9,
+                  MassSequence(MassKind.EXP_RATIONAL, 1, Fraction(713, 20))),
+     [300, 1000, 3000], [0, 0, 1]),
+    # critical, j = 0, M = 1e308: Q_n(1) > 0 and b_0 = G/(M + G) = 8e-308, so
+    # L's first zero is near 1e-153, below the limit row's scan, and the
+    # largest zero, which rounds to 1, tends to it
+    (SobolevSetup(JacobiParams(1, 0), 0, MassSequence(MassKind.PLAIN, 1e308, 4)),
+     [150, 500], [1, 1])], ids=["exterior-zero-inside", "unlisted-limit-zero"])
+def test_rows_exclude_their_own_exterior_zero(setup, degrees, excluded):
+    tb = convergence_table(setup, degrees, 3)
+    for row in tb.rows:
+        dist = np.abs(row.scaled[:, None] - tb.limit[None, :])
+        assert np.all(np.argmin(dist, axis=1) == np.arange(len(row.scaled))), (
+            row.n, row.scaled, tb.limit)
+    assert [row.excluded for row in tb.rows] == excluded
+    assert len(tb.limit) == 3 - min(excluded)
+
+
 def test_limit_zeros_among_subnormal_values_are_refused():
     # at alpha = 160 the limit function is below 1e-308 between its zeros,
     # where a double keeps too few digits to place them (4.8e-4 off)
@@ -644,7 +707,7 @@ def test_subcritical_zero_mass_excludes_no_zero(kind):
     custom = {150: 0.0, 500: 0.0} if kind is MassKind.CUSTOM else None
     setup = SobolevSetup(JacobiParams(1, 0), 2, MassSequence(kind, 0, 3, custom))
     tb = convergence_table(setup, [150, 500], 4)
-    assert tb.excluded == 0
+    assert [row.excluded for row in tb.rows] == [0, 0]
     assert abs(tb.rows[1].scaled[0] - tb.limit[0]) <= 0.01
 
 
@@ -655,7 +718,7 @@ def test_subcritical_order_zero_rows_line_up_with_the_limit_row(alpha):
     # limit row does not list; each scaled zero is nearest its own limit zero
     setup = SobolevSetup(JacobiParams(alpha, 0), 0, MassSequence(MassKind.PLAIN, 1, 1))
     tb = convergence_table(setup, [150, 1000], 3)
-    assert tb.excluded == 1
+    assert [row.excluded for row in tb.rows] == [1, 1]
     for row in tb.rows:
         assert len(row.scaled) == len(tb.limit) == 2
         dist = np.abs(row.scaled[:, None] - tb.limit[None, :])
@@ -699,8 +762,8 @@ class TestLargestZeroLocation:
         V = critical_mass_threshold(-0.9, -0.9, 3)
         assert float(critical_small.mass.M) <= V
         assert float(critical_big.mass.M) > V
-        assert convergence_table(critical_small, [20], 4).excluded == 0
-        assert convergence_table(critical_big, [20], 4).excluded == 1
+        assert convergence_table(critical_small, [20], 4).rows[0].excluded == 0
+        assert convergence_table(critical_big, [20], 4).rows[0].excluded == 1
 
 
 class TestHurwitzTrend:
