@@ -18,7 +18,8 @@ It is evaluated as sum_i b_i 2^i (x/2)^(2i) z_{alpha+2i}(x) from the entire
 functions z_nu(x) = (x/2)^(-nu) J_nu(x): no singular factor is formed, so
 one formula holds from x = 0 on.  ``limit_eval`` is its value on whole arrays,
 one array Bessel evaluation per nonzero term, in plain double.  Near its
-zeros L is about (x/2)^(-alpha), subnormal from alpha ~ 155 at beta = 0.
+zeros L is about (x/2)^(-alpha), subnormal from alpha ~ 151 at beta = 0, so
+its zeros come from the sum (x/2)^alpha L from x = 2 on (``zeros.limit_zeros``).
 """
 
 import enum

@@ -269,15 +269,11 @@ def grid_roots(f, grid, vals, count=None):
 def _scan_zeros(f, step, top, count):
     """The first ``count`` positive zeros of f (which acts on arrays) from
     one ``grid_roots`` pass over the grid 1e-3 + k step below ``top``; a grid
-    of over 1e5 points, or subnormal values between those zeros, is refused."""
+    of over 1e5 points is refused."""
     if (top - 1e-3) / step > 1e5:
         raise NumericError(f"the zero scan below {top:g} needs more than 100000 grid points")
     xs = np.arange(1e-3, top, step)
-    vals = f(xs)
-    roots = grid_roots(f, xs, vals, count)
+    roots = grid_roots(f, xs, f(xs), count)
     if len(roots) < count:
         raise NumericError(f"found only {len(roots)} of {count} zeros below {top:g}")
-    inner = vals[(xs > roots[0]) & (xs < roots[-1])]
-    if np.any(np.abs(inner) < np.finfo(np.float64).tiny):
-        raise NumericError(f"the function is subnormal between its zeros below {top:g}")
     return roots

@@ -28,10 +28,13 @@ so from some degree on the rows with b_0 < 0 leave it out too.  A mass
 limit M = 0, the classical polynomial, excludes no zero in any regime.
 
 The first `count` zeros of the limit function (b_0, ..., b_{j+1}) come from
-one pass of the same scan over a 0.02 grid from 1e-3 up to McMahon's
-estimate of the (count + j + 2)-th Bessel zero of order alpha plus 5
-(``kernels._scan_zeros``, shared with the Bessel zeros), which refuses a
-grid past alpha ~ 1650 and subnormal values between zeros (alpha ~ 155).
+one pass of the same scan (``kernels._scan_zeros``) over a 0.02 grid from
+1e-3 up to McMahon's estimate of the (count + j + 2)-th Bessel zero of
+order alpha plus 5, on F = max(1, (x/2)^alpha) L: L below x = 2, where
+S = sum_i b_i 2^i J_{alpha+2i} = (x/2)^alpha L underflows first, and S from
+2 on, where L is subnormal near its zeros from alpha ~ 151.  The scan's cap
+of 1e5 grid points ends them at alpha ~ 1650.  From alpha ~ 170 both
+underflow near 0, and a sign change hidden there is refused.
 """
 
 import math
@@ -44,7 +47,7 @@ from .asymptotics import limit_coeffs, limit_eval
 from .errors import NumericError
 from .jacobi import clenshaw_eval
 from .sobolev import q_deriv_at_one, sobolev_polynomial
-from .special_functions import _mcmahon_guess
+from .special_functions import _mcmahon_guess, bessel_j
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ def _bracket_grid(setup, n):
 # 1e-9 up to 3e4, eight points per octave, so that its bracket is narrow
 # enough for the secant start
 _LADDER = 1e-9 * 2.0 ** (np.arange(360) / 8.0)
+_TINY = np.finfo(np.float64).tiny
 
 
 def _brackets(series, grid, q_at_one):
@@ -127,12 +131,33 @@ def sobolev_zeros(setup, n):
 
 
 def limit_zeros(lf, count):
-    """First `count` positive zeros of the limit function."""
+    """First `count` positive zeros of the limit function, those of F."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     top = _mcmahon_guess(lf.alpha, count + len(lf.b)) + 5.0
-    return kernels._scan_zeros(lambda x: limit_eval(lf, x), 0.02, top, count)
+    nonzero = np.flatnonzero(lf.b).tolist()
+    terms = [(lf.b[i] * 2.0 ** i, lf.alpha + 2.0 * i) for i in nonzero]
+
+    def f(x):  # L below x = 2, S from 2 on
+        out, high = np.empty(len(x)), x >= 2.0
+        if not high.all():
+            out[~high] = limit_eval(lf, x[~high])
+        if high.any():
+            out[high] = sum(c * bessel_j(nu, x[high]) for c, nu in terms)
+        return out
+
+    roots = kernels._scan_zeros(f, 0.02, top, count)
+    # right of 0, F has the sign of b_i, the first nonzero coefficient; where
+    # F(1e-3) underflows (from alpha ~ 170) the scan is blind up to where F
+    # is normal, and an odd count of zeros there leaves F left of the first
+    # zero found of the other sign, or not normal
+    if abs(limit_eval(lf, 1e-3)) < _TINY:
+        left = f(np.array([max(1e-3, roots[0] - 0.01)]))[0]
+        if not left * np.sign(lf.b[nonzero[0]]) >= _TINY:
+            raise NumericError(f"the limit function underflows near 0 and may change "
+                               f"sign there, below {roots[0]:g}")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -172,7 +197,7 @@ def convergence_table(setup, ns, count, zero_sets=None):
     # the row does not list: L(0) = 0 (b_0 = 0), or b_0 = G/(M + G) ~ 8e-308
     # at j = 0, critical, M = 1e308, with L's first zero near 1e-153
     lf = limit_coeffs(setup)
-    unlisted = np.sign(lf.b[0]) * np.sign(limit_eval(lf, 1e-3)) <= 0.0
+    unlisted = lf.b[0] == 0.0 or np.sign(lf.b[0]) * np.sign(limit_eval(lf, 1e-3)) < 0.0
     excluded = (q_deriv_at_one(setup, np.array(ns), 0) <= 0.0) | unlisted
     rows = []
     for n, excl in zip(ns, excluded.astype(int).tolist()):

@@ -69,9 +69,10 @@ def exact_limit_coeffs(alpha, j, sigma=1):
 
 
 def limit_zeros(lf, count, dps=40):
-    """The first ``count`` zeros of the limit function of ``lf`` above x = 1:
-    the sign changes of sum_i b_i 2^i J_{alpha+2i} on the integers from 1,
-    each refined by ``findroot`` on its bracket, rounded to doubles."""
+    """The first ``count`` zeros of the limit function of ``lf`` above
+    x = 1e-3: the sign changes on [1e-3, 1] of Gamma(alpha+1) L, of order
+    b_0 there, and on the integers from 1 of sum_i b_i 2^i J_{alpha+2i}, each
+    refined by ``findroot`` on its bracket, rounded to doubles."""
     with mp.workdps(dps):
         a = mp.mpf(lf.alpha)
         b = [mp.mpf(v) for v in lf.b]
@@ -79,14 +80,18 @@ def limit_zeros(lf, count, dps=40):
         def f(x):
             return mp.fsum(bi * 2 ** i * mp.besselj(a + 2 * i, x) for i, bi in enumerate(b))
 
-        roots = []
+        def g(x):
+            return f(x) * mp.gamma(a + 1) / (x / 2) ** a
+
+        lo = mp.mpf("1e-3")
+        roots = [] if g(lo) * g(1) > 0 else [float(mp.findroot(g, (lo, 1), solver="anderson"))]
         x, fx = mp.mpf(1), f(1)
         while len(roots) < count:
             fy = f(x + 1)
             if fx * fy < 0:
                 roots.append(float(mp.findroot(f, (x, x + 1), solver="anderson")))
             x, fx = x + 1, fy
-        return np.array(roots)
+        return np.array(roots[:count])
 
 
 class SobolevOracle:

@@ -67,7 +67,7 @@ class TestBesselJ:
         for x in xs:
             assert abs(bessel_j(nu, float(x)) - mp_besselj(nu, x)) <= 1e-14
 
-    @pytest.mark.parametrize("nu", [100.0, 150.0])
+    @pytest.mark.parametrize("nu", [100.0, 150.0, 160.0, 300.0])
     def test_pointwise_against_mpmath_at_high_order(self, nu):
         # relative below the turning point x = nu, where J_nu falls to 1e-31
         # at x = nu/2; absolute above it, where J_nu has zeros.  Normalized

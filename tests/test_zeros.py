@@ -613,15 +613,27 @@ def _high_alpha_limit(alpha, j):
                                      MassSequence(MassKind.PLAIN, 1, Fraction(1))))
 
 
-@pytest.mark.parametrize("alpha", [50, 100, pytest.param(30, marks=pytest.mark.slow),
+@pytest.mark.parametrize("alpha", [50, 100, 154, pytest.param(30, marks=pytest.mark.slow),
                                    pytest.param(70, marks=pytest.mark.slow),
                                    pytest.param(130, marks=pytest.mark.slow),
-                                   pytest.param(150, marks=pytest.mark.slow)])
+                                   pytest.param(150, marks=pytest.mark.slow),
+                                   pytest.param(160, marks=pytest.mark.slow),
+                                   pytest.param(300, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("j", [0, 3])
 def test_high_alpha_limit_zeros_against_mpmath(alpha, j):
     # the zeros sit above alpha, where the Bessel series cancelled (9.7e-9
-    # off at alpha = 30, duplicated zeros from alpha = 45)
+    # off at alpha = 30, duplicated zeros from alpha = 45); from alpha ~ 151
+    # L = (x/2)^(-alpha) S is subnormal near them, and a scan of L was
+    # 1.8e-12 off at alpha = 154, j = 3, and found too few zeros from 155
     lf = _high_alpha_limit(alpha, j)
+    ref = mp_limit_zeros(lf, 4)
+    assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_preset_limit_zeros_against_mpmath(name):
+    # the critical presets have their first limit zero below 1 (0.647, 0.909)
+    lf = limit_coeffs(SETUPS[name])
     ref = mp_limit_zeros(lf, 4)
     assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
 
@@ -645,11 +657,14 @@ def test_high_order_limit_zeros_against_exact_coefficients(critical):
     assert np.max(np.abs(limit_zeros(lf, 4) - ref) / ref) <= 1e-13
 
 
-@pytest.mark.parametrize("alpha, M", [(91, 1.0), (100, 1.0), (1, 1e308)])
+@pytest.mark.parametrize("alpha, M", [(91, 1.0), (100, 1.0), (1, 1e308), (80, 1e273)])
 def test_critical_limit_beyond_the_double_range(alpha, M):
     # critical at j = 0: G = (alpha!)^2 2^(alpha+1) (alpha+1) is above the
     # double range at alpha = 91 and 100, and M = 1e308 is against G = 8;
-    # sigma = M/(M + G) comes from log G - log M, neither formed
+    # sigma = M/(M + G) comes from log G - log M, neither formed.  At
+    # alpha = 80, M = 1e273, b_0 = G/(M + G) = 1e-9 puts L's first zero at
+    # 5.2e-3, where S = (x/2)^alpha L underflows to 0 (b_0 J_80(1e-3) ~
+    # exp(-882)); a scan of S dropped it and listed the next zeros as the first
     mass = MassSequence(MassKind.PLAIN, M, Fraction(2 * (alpha + 1)))
     lf = limit_coeffs(SobolevSetup(JacobiParams(Fraction(alpha), Fraction(0)), 0, mass))
     assert lf.regime.kind is RegimeKind.CRITICAL
@@ -662,6 +677,15 @@ def test_critical_limit_beyond_the_double_range(alpha, M):
         # sigma rounds to 1: b is the subcritical (0, -1/2) but for b_0 = 1 - sigma
         sub = limit_coeffs(_plain_setup(alpha, 0, 0, 1))
         assert lf.b[1] == sub.b[1] == -0.5 and lf.b[0] == pytest.approx(8e-308, rel=1e-15)
+
+
+@pytest.mark.parametrize("b", [(1e-3, -1.0), (-1e-3, 1.0)])
+def test_limit_zero_where_both_forms_underflow_is_refused(b):
+    # alpha = 300: L below x = 2 and S above it underflow up to x ~ 21, and
+    # b = (1e-3, -1) puts L's first zero near 13.5, inside that stretch
+    lf = LimitFunction(300.0, b, _high_alpha_limit(300, 0).regime)
+    with pytest.raises(NumericError, match="underflows near 0 and may change sign"):
+        limit_zeros(lf, 3)
 
 
 @pytest.mark.parametrize("setup, degrees, excluded", [
@@ -684,13 +708,6 @@ def test_rows_exclude_their_own_exterior_zero(setup, degrees, excluded):
             row.n, row.scaled, tb.limit)
     assert [row.excluded for row in tb.rows] == excluded
     assert len(tb.limit) == 3 - min(excluded)
-
-
-def test_limit_zeros_among_subnormal_values_are_refused():
-    # at alpha = 160 the limit function is below 1e-308 between its zeros,
-    # where a double keeps too few digits to place them (4.8e-4 off)
-    with pytest.raises(NumericError, match="subnormal between its zeros"):
-        limit_zeros(_high_alpha_limit(160, 3), 4)
 
 
 def test_scan_grid_is_capped():
