@@ -2,16 +2,16 @@
 
 The scaled polynomials n^(-alpha) Q_n(1 - x^2/(2n^2)) converge to a short
 combination of Bessel functions whose coefficients depend on how the mass
-exponent gamma compares with 2(alpha + 2j + 1).  The coefficient recursion
-is one triangular solve, in exact rationals, on the leading fraction
+exponent gamma compares with 2(alpha + 2j + 1).  They are the limits of
+``connection_coeffs``: one triangular solve (``solve_connection``), in exact
+rationals, with the entries 2^i / prod_{m=1..i} (alpha + k + m) and the lead
 (derivative-ratio limit)
-  (M (i - j) + G (alpha + j + i + 1)) / ((alpha + j + i + 1) (M + G)),
-  G = Gamma(alpha+j+1)^2 2^(alpha+beta+2j+1) (alpha+2j+1),
-with M = lim M_n n^gamma (``MassSequence.m``) when critical and
-(M, G) = (1, 0) when subcritical; supercritical, or M = 0, is classical.
-Its sign structure is pinned by exact finite-degree computation (the
-coefficients are limits of connection_coeffs, see the test suite), which
-settles the sign of the G term in the numerator.
+  sigma (k - j)/(alpha + j + k + 1) + 1 - sigma,
+  sigma = M/(M + G), G = Gamma(alpha+j+1)^2 2^(alpha+beta+2j+1) (alpha+2j+1),
+with M = lim M_n n^gamma (``MassSequence.m``) when critical and sigma = 1
+when subcritical; supercritical, or M = 0, is classical: b = e_0.  Its sign
+structure is pinned by exact finite-degree computation (see the test suite),
+which settles the sign of the G term.
 
 The limit function is L(x) = sum_i b_i 2^i (x/2)^(-alpha) J_{alpha+2i}(x).
 It is evaluated as sum_i b_i 2^i (x/2)^(2i) z_{alpha+2i}(x) from the entire
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jacobi import _LOG_MAX, JacobiParams
+from .jacobi import _LOG_MAX, JacobiParams, solve_connection
 from .sobolev import MassKind, MassSequence, SobolevSetup
 from .special_functions import _bessel_z, log_gamma
 
@@ -113,35 +113,26 @@ def limit_coeffs(setup):
         b = np.zeros(j + 2)
         b[0] = 1.0
         return LimitFunction(alpha=a, b=b, regime=regime)
-    b = _subcritical_coeffs(Fraction(p.alpha), j)
+    sigma, rest = Fraction(1), Fraction(0)
     if regime.kind is RegimeKind.CRITICAL:
-        # the system is linear and the lead 1 has the solution e_0, so the
-        # critical lead sigma lead_sub + 1 - sigma has sigma b_sub + (1 - sigma) e_0;
         # sigma = M/(M + G) = 1/(1 + e^t) and 1 - sigma = 1/(1 + e^-t), each from
         # its own logistic, with t = log G - log M, where G and M need not be doubles
         t = _log_G(a, p.b, j) + math.log(a + 2.0 * j + 1.0) - math.log(setup.mass.m)
         e = math.exp(-abs(t))
         small, large = Fraction(e / (1.0 + e)), Fraction(1.0 / (1.0 + e))
         sigma, rest = (small, large) if t > 0.0 else (large, small)
-        b = [sigma * v for v in b]
-        b[0] += rest
-    return LimitFunction(alpha=a, b=[float(v) for v in b], regime=regime)
-
-
-def _subcritical_coeffs(a, j):
-    # the limit system of connection_coeffs at (M, G) = (1, 0), in exact
-    # rationals: lead (k - j)/(a + j + k + 1), entries 2^i / prod_{m=1..i} (a+k+m);
-    # it is ill-conditioned in j (a double solve is 1e-5 off at a = 30, j = 10)
-    b = []
+    # exact rationals: the system is ill-conditioned in j (a double solve is
+    # 1e-5 off at alpha = 30, j = 10); the entries above the diagonal are not read
+    alpha = Fraction(p.alpha)
+    lead = np.array([sigma * (k - j) / (alpha + j + k + 1) + rest
+                     for k in range(j + 2)], dtype=object)
+    entry = np.zeros((j + 2, j + 2), dtype=object)
     for k in range(j + 2):
-        acc = (k - j) / (a + j + k + 1)
-        entry, c = Fraction(1), 1  # entry[i, k], and C(k, i) (-1)^i i!
-        for i in range(k):
-            acc -= c * entry * b[i]
-            entry = 2 * entry / (a + k + i + 1)
-            c *= i - k
-        b.append(acc / (c * entry))
-    return b
+        entry[0, k] = Fraction(1)
+        for i in range(1, k + 1):
+            entry[i, k] = 2 * entry[i - 1, k] / (alpha + k + i)
+    b = solve_connection(lead, entry)
+    return LimitFunction(alpha=a, b=[float(v) for v in b], regime=regime)
 
 
 def limit_eval(lf, x):

@@ -5,8 +5,9 @@ expressions of a degree or an array of degrees, kept as logs until the
 final value (one ``log_gamma`` pass each, nothing cached); pointwise
 evaluation, of a single degree or of a series, is Clenshaw's backward
 three-term recurrence.  The short connection formula against
-parameter-shifted polynomials at finite degree is one triangular solve in
-double; its Mehler-Heine limit is solved in exact rationals (asymptotics).
+parameter-shifted polynomials is one triangular solve, ``solve_connection``:
+in double at finite degree, in exact rationals for its Mehler-Heine limit
+(asymptotics).
 """
 
 import math
@@ -114,18 +115,20 @@ def solve_connection(rhs, entry):
     """Forward substitution of sum_{i<=k} C(k,i) (-1)^i i! entry[..., i, k] b_i
     = rhs[..., k] for b[..., K], given arrays rhs[..., K] and entry[..., K, K]
     of one leading shape: the triangular system of a short connection formula
-    against (1-x)^i P_{n-i}^{(alpha+2i, beta)}.  The system is ill-conditioned
-    in j: against 50-digit mpmath at n = 120, b is 1.6e-4 off at alpha = 30,
-    j = 10 and 7.6e-12 on the presets (j = 3), relative to its largest entry."""
-    b = np.empty(rhs.shape)
+    against (1-x)^i P_{n-i}^{(alpha+2i, beta)}.  It works in the number type
+    of the arrays: float64 in double, object arrays of Fractions exactly.
+    The system is ill-conditioned in j: against 50-digit mpmath at n = 120,
+    the double b is 1.6e-4 off at alpha = 30, j = 10 and 7.6e-12 on the
+    presets (j = 3), relative to its largest entry."""
+    b = np.empty(rhs.shape, dtype=rhs.dtype)
     for k in range(rhs.shape[-1]):
         acc = rhs[..., k]
-        sign = 1.0
-        fact = 1.0
+        sign = 1
+        fact = 1
         for i in range(k):
             acc = acc - b[..., i] * math.comb(k, i) * sign * fact * entry[..., i, k]
             sign = -sign
-            fact *= i + 1.0
+            fact *= i + 1
         b[..., k] = acc / (sign * fact * entry[..., k, k])
     return b
 

@@ -98,21 +98,26 @@ def mass(seq, n):
             return float(seq.custom_values[n])
         except KeyError:
             raise ConfigError(f"custom mass sequence has no entry for n={n}") from None
-    # n ** g raises past the double range; below it, a zero divisor
+    # n ** g raises past the double range and a divisor may underflow to 0;
+    # a product or quotient past it is inf
     try:
         if seq.kind is MassKind.PLAIN:
-            return seq.m * n ** (-g)
-        if seq.kind is MassKind.EXP_RATIONAL:
+            value = seq.m * n ** (-g)
+        elif seq.kind is MassKind.EXP_RATIONAL:
             # 3 e^n / ((6 e^n + 4) n^g), rewritten overflow-free
-            return 3.0 / ((6.0 + 4.0 * math.exp(-n)) * n ** g)
-        if seq.kind is MassKind.LOG_RATIO:
-            return (7.0 * math.log(n + 1.0) + 5.0) / ((3.0 + 2.0 * math.log(n)) * n ** g)
-        if seq.kind is MassKind.POLY_RATIO:
-            return seq.m * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
+            value = 3.0 / ((6.0 + 4.0 * math.exp(-n)) * n ** g)
+        elif seq.kind is MassKind.LOG_RATIO:
+            value = (7.0 * math.log(n + 1.0) + 5.0) / ((3.0 + 2.0 * math.log(n)) * n ** g)
+        elif seq.kind is MassKind.POLY_RATIO:
+            value = seq.m * n * n * (n - 0.5) * (n + 2.0) / n ** (g + 4.0)
+        else:
+            raise ValueError(f"unknown mass kind {seq.kind!r}")
     except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
         raise OverflowError(f"the {seq.kind.value} mass at n = {n}, gamma = {g:g} "
-                            f"is beyond the double range") from None
-    raise ValueError(f"unknown mass kind {seq.kind!r}")
+                            f"is beyond the double range")
+    return value
 
 
 # ---------------------------------------------------------------------------

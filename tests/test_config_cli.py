@@ -477,17 +477,21 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("job", ["mh-curve", "tables", "zeros"])
     def test_overflow_is_one_line(self, tmp_path, capsys, job):
-        # the power n ** gamma of a mass family overflows, or underflows
-        # into a divisor
-        masses = [(LEGENDRE_CFG.replace("alpha = 0", "alpha = 1").replace("M = 0", "M = 1")
+        # the power n ** gamma of a mass family overflows or underflows into a
+        # divisor (the first four), or the product or quotient overflows
+        masses = [(LEGENDRE_CFG.replace("alpha = 0", f"alpha = {alpha}")
+                   .replace("j = 3", f"j = {j}").replace("M = 0", f"M = {M}")
                    .replace("mass = plain", f"mass = {kind}")
                    .replace("gamma = 2", f"gamma = {gamma}")
                    .replace("degrees = 10", f"degrees = {n}"),
                    f"the {kind} mass at n = {n}, gamma = {shown} is beyond the double range")
-                  for kind, gamma, n, shown in (("log-ratio", -400, 10, "-400"),
-                                                ("exp-rational", -400, 700, "-400"),
-                                                ("plain", -1e300, 10, "-1e+300"),
-                                                ("poly-ratio", 1e300, 10, "1e+300"))]
+                  for kind, alpha, j, M, gamma, n, shown in (
+                      ("log-ratio", 1, 3, 1, -400, 10, "-400"),
+                      ("exp-rational", 1, 3, 1, -400, 700, "-400"),
+                      ("plain", 1, 3, 1, -1e300, 10, "-1e+300"),
+                      ("poly-ratio", 1, 3, 1, 1e300, 10, "1e+300"),
+                      ("plain", 2, 0, 1e300, -5, 100, "-5"),
+                      ("exp-rational", 1, 1, 1, -320, 10, "-320"))]
         for text, message in masses:
             cfg = _write_cfg(tmp_path, text)
             with warnings.catch_warnings():

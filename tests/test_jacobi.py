@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sobolev_mh.jacobi import (
     jacobi_eval,
     norm2,
     scaled_eval,
+    solve_connection,
 )
 from sobolev_mh.presets import SETUPS
 from sobolev_mh.sobolev import MassKind, MassSequence, SobolevSetup, sobolev_polynomial
@@ -344,3 +346,29 @@ def test_derivative_series_matches_finite_difference():
         h = 1e-6
         fd = (clenshaw_eval(s, x + h) - clenshaw_eval(s, x - h)) / (2 * h)
         assert clenshaw_eval(d, x) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
+class TestSolveConnection:
+    @staticmethod
+    def _system(size):
+        # rational rhs[k] and entry[i, k], none of the diagonal zero
+        entry = np.array([[Fraction(i + 2 * k + 1, k + 3) for k in range(size)]
+                          for i in range(size)], dtype=object)
+        rhs = np.array([Fraction(k - 2, 2 * k + 5) for k in range(size)], dtype=object)
+        return rhs, entry
+
+    def test_fractions_solve_exactly(self):
+        rhs, entry = self._system(4)
+        b = solve_connection(rhs, entry)
+        assert all(type(v) is Fraction for v in b)
+        for k in range(4):
+            lhs = sum(math.comb(k, i) * (-1) ** i * math.factorial(i) * entry[i, k] * b[i]
+                      for i in range(k + 1))
+            assert lhs - rhs[k] == 0
+
+    def test_doubles_stay_doubles(self):
+        rhs, entry = self._system(4)
+        b = solve_connection(rhs.astype(np.float64), entry.astype(np.float64))
+        assert b.dtype == np.float64
+        assert b == pytest.approx([float(v) for v in solve_connection(rhs, entry)],
+                                  rel=1e-14)
