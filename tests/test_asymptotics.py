@@ -125,7 +125,18 @@ class TestLimitCoeffs:
         assert d2 < d1
         assert d2 <= 5e-3
 
-    def test_subcritical_against_exact_rationals(self):
+    @pytest.mark.parametrize("max_j, bound", [(3, 3e-13), (8, 1e-10), (10, 1e-15)])
+    def test_subcritical_against_exact_rationals(self, max_j, bound):
+        # the subcritical system is rational in alpha; a solve in double was
+        # 1.8e-13 off at j <= 3, 6.2e-11 at j <= 8 and 4.6e-5 at alpha = 30,
+        # j = 10, relative to the largest coefficient
+        for alpha, j in itertools.product((0, 1, 3, 7, 30), range(max_j + 1)):
+            exact = np.array([float(v) for v in exact_limit_coeffs(alpha, j)])
+            setup = SobolevSetup(JacobiParams(alpha, 0), j, MassSequence(MassKind.PLAIN, 1, 1))
+            err = np.max(np.abs(limit_coeffs(setup).b - exact)) / np.max(np.abs(exact))
+            assert err <= bound, (alpha, j, err)
+
+    def test_subcritical_equals_exact_rationals(self):
         # the subcritical system is rational in alpha and solved exactly, so
         # each coefficient is its exact value rounded once (a solve in double
         # is 4.6e-5 off at alpha = 30, j = 10, relative to the largest one)
